@@ -356,13 +356,18 @@ Result<std::vector<CategoryContribution>> Experiments::Contributions(
 
 std::string Experiments::ModelDir() const { return CachePath("models"); }
 
-Result<std::string> Experiments::ExportModel(StudyPeriod period, int window,
-                                             const std::string& model) {
+std::string Experiments::ModelPath(StudyPeriod period, int window,
+                                   const std::string& model) const {
   serve::ModelKey key;
   key.period = PeriodName(period);
   key.window = window;
   key.model = model;
-  const std::string path = ModelDir() + "/" + serve::SnapshotFileName(key);
+  return ModelDir() + "/" + serve::SnapshotFileName(key);
+}
+
+Result<std::string> Experiments::ExportModel(StudyPeriod period, int window,
+                                             const std::string& model) {
+  const std::string path = ModelPath(period, window, model);
   // Snapshot cache hit: a loadable file means the model is already
   // exported — snapshots carry full fitted state, nothing to recompute.
   if (serve::SnapshotCodec::Probe(path).ok()) return path;
@@ -404,9 +409,27 @@ Result<std::string> Experiments::ExportModel(StudyPeriod period, int window,
 
 Result<std::vector<std::string>> Experiments::ExportModels(StudyPeriod period,
                                                            int window) {
+  const char* const models[] = {"rf", "xgb", "mlp"};
+  // Warm the memos every fit reads (scenario dataset, final vector) one
+  // after the other, unless all three snapshots already exist; the fits
+  // then only read them and run at once, each writing its own file.
+  bool exported = true;
+  for (const char* model : models) {
+    exported = exported &&
+               serve::SnapshotCodec::Probe(ModelPath(period, window, model)).ok();
+  }
+  if (!exported) {
+    FAB_RETURN_IF_ERROR(Scenario(period, window).status());
+    FAB_RETURN_IF_ERROR(FinalVector(period, window).status());
+  }
+  std::vector<Result<std::string>> results(std::size(models),
+                                           Status::Internal("pending"));
+  util::ParallelFor(0, results.size(), [&](size_t i) {
+    results[i] = ExportModel(period, window, models[i]);
+  });
   std::vector<std::string> paths;
-  for (const char* model : {"rf", "xgb", "mlp"}) {
-    FAB_ASSIGN_OR_RETURN(std::string path, ExportModel(period, window, model));
+  for (Result<std::string>& result : results) {
+    FAB_ASSIGN_OR_RETURN(std::string path, std::move(result));
     paths.push_back(std::move(path));
   }
   return paths;

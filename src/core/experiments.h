@@ -113,12 +113,16 @@ class Experiments {
   [[nodiscard]] Result<std::string> ExportModel(StudyPeriod period, int window,
                                   const std::string& model);
 
-  /// Exports all three model kinds for a scenario; returns their paths.
+  /// Exports all three model kinds for a scenario, fitting them at the
+  /// same time; returns their paths in rf, xgb, mlp order.
   [[nodiscard]] Result<std::vector<std::string>> ExportModels(StudyPeriod period,
                                                 int window);
 
  private:
   std::string ScenarioTag(StudyPeriod period, int window) const;
+  /// Snapshot path of `model` for a scenario, under ModelDir().
+  std::string ModelPath(StudyPeriod period, int window,
+                        const std::string& model) const;
   std::string CachePath(const std::string& name) const;
   [[nodiscard]] Status EnsureCacheDir() const;
 

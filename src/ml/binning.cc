@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/thread_pool.h"
+
 namespace fab::ml {
 
 Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
@@ -14,11 +16,12 @@ Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
   out.codes_.resize(x.cols());
   out.upper_edges_.resize(x.cols());
 
+  // Columns bin independently, each into its own slots, so the result
+  // is the same at any pool width.
   const size_t n = x.rows();
-  std::vector<double> sorted;
-  for (size_t c = 0; c < x.cols(); ++c) {
+  util::ParallelFor(0, x.cols(), [&](size_t c) {
     const std::vector<double>& col = x.column(c);
-    sorted = col;
+    std::vector<double> sorted = col;
     std::sort(sorted.begin(), sorted.end());
 
     // Candidate edges at evenly spaced quantiles; deduplicate so every
@@ -47,7 +50,7 @@ Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
                                          : static_cast<size_t>(it - edges.begin());
       codes[i] = static_cast<uint8_t>(b);
     }
-  }
+  });
   return out;
 }
 

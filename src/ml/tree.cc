@@ -1,6 +1,7 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -98,18 +99,24 @@ class TreeBuilder {
       if (nb < 2) continue;
       const std::vector<uint8_t>& codes = x_.codes(j);
       // hist_ is all-zero on entry (restored after each feature). For
-      // nodes smaller than the bin count, track only touched bins.
+      // nodes smaller than the bin count, track only touched bins: mark
+      // them in a 256-bit bitmap, then list them in bin order.
       const bool sparse = (end - start) < static_cast<size_t>(nb);
       touched_.clear();
       if (sparse) {
+        uint64_t seen[4] = {0, 0, 0, 0};
         for (size_t k = start; k < end; ++k) {
           const uint8_t c = codes[static_cast<size_t>(indices_[k])];
-          BinStat& s = hist_[c];
-          if (s.g == 0.0 && s.h == 0.0) touched_.push_back(c);
-          s.g += g_[k];
-          s.h += h_[k];
+          seen[c >> 6] |= uint64_t{1} << (c & 63);
+          hist_[c].g += g_[k];
+          hist_[c].h += h_[k];
         }
-        std::sort(touched_.begin(), touched_.end());
+        for (size_t w = 0; w < 4; ++w) {
+          for (uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+            touched_.push_back(w * 64 +
+                               static_cast<size_t>(std::countr_zero(bits)));
+          }
+        }
       } else {
         for (size_t k = start; k < end; ++k) {
           BinStat& s = hist_[codes[static_cast<size_t>(indices_[k])]];

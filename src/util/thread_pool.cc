@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #include "util/obs/clock.h"
 #include "util/obs/metrics.h"
@@ -12,9 +14,10 @@ namespace fab::util {
 
 namespace {
 
-/// Set for the lifetime of every pool worker thread (any pool), so nested
-/// ParallelFor calls can detect they are already on a worker.
-thread_local bool t_in_pool_worker = false;
+/// The pool a worker thread belongs to, set for the thread's lifetime
+/// (null on every other thread). util::ParallelFor routes nested calls
+/// through it; a raw pointer, so a worker never co-owns its own pool.
+thread_local ThreadPool* t_worker_pool = nullptr;
 
 #if !defined(FAB_OBS_DISABLED)
 // Pool telemetry (shared across pool instances — the interesting signal
@@ -55,7 +58,7 @@ ThreadPool::ThreadPool(int num_threads) {
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] {
-      t_in_pool_worker = true;
+      t_worker_pool = this;
       WorkerLoop();
     });
   }
@@ -71,8 +74,6 @@ ThreadPool::~ThreadPool() {
     if (worker.joinable()) worker.join();
   }
 }
-
-bool ThreadPool::InWorker() { return t_in_pool_worker; }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
   // Trace-context propagation: a task submitted while a request context
@@ -122,54 +123,93 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+
+/// One ParallelFor's shared state. The caller and its helper tasks each
+/// hold a reference, so a helper that starts after the caller returned
+/// still finds valid state: the counter says the range is used up and it
+/// returns without touching `fn`, which may be gone by then.
+class LoopState {
+ public:
+  LoopState(size_t begin, size_t end, const std::function<void(size_t)>& fn)
+      : next_(begin), end_(end), total_(end - begin), fn_(&fn) {}
+
+  /// Claims and runs indices until the range is used up, then reports how
+  /// many this thread claimed. Run by the caller and by every helper.
+  void Work() FAB_EXCLUDES(mu_) {
+    size_t claimed = 0;
+    for (size_t i = next_.fetch_add(1); i < end_; i = next_.fetch_add(1)) {
+      ++claimed;
+      // Indices above a known failure are claimed but not run: a serial
+      // loop would never have reached them.
+      if (i > error_index_.load()) continue;
+      try {
+        (*fn_)(i);
+        // Not swallowed: the lowest-index exception is stored and
+        // rethrown by the caller once every claimed index has finished.
+      } catch (...) {  // fablint:allow(safety-catch-all)
+        RecordError(i, std::current_exception());
+      }
+    }
+    if (claimed == 0) return;
+    MutexLock lock(mu_);
+    done_ += claimed;
+    if (done_ == total_) cv_.NotifyAll();
+  }
+
+  /// Blocks until every index has finished, then rethrows the exception
+  /// of the lowest throwing index, if any. Called by the caller only,
+  /// after its own Work() returned — so every index has been claimed and
+  /// the wait covers only indices running on helpers right now.
+  void WaitAndRethrow() FAB_EXCLUDES(mu_) {
+    std::exception_ptr error;
+    {
+      MutexLock lock(mu_);
+      while (done_ != total_) cv_.Wait(mu_);
+      // Moved, not copied: a helper may drop the last reference to this
+      // state later, and must not release the exception along with it.
+      error = std::move(error_);
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  void RecordError(size_t i, std::exception_ptr error) FAB_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (i >= error_index_.load()) return;
+    error_index_.store(i);
+    error_ = std::move(error);
+  }
+
+  std::atomic<size_t> next_;  // next unclaimed index
+  const size_t end_;
+  const size_t total_;
+  const std::function<void(size_t)>* const fn_;
+  /// Lowest index that threw so far (max = none). Written under mu_; read
+  /// without it as a skip hint — a stale read only runs an index that a
+  /// serial loop would have skipped, never changes which error wins.
+  std::atomic<size_t> error_index_{std::numeric_limits<size_t>::max()};
+
+  Mutex mu_;
+  CondVar cv_;
+  size_t done_ FAB_GUARDED_BY(mu_) = 0;  // indices finished or skipped
+  std::exception_ptr error_ FAB_GUARDED_BY(mu_);
+};
+
+}  // namespace
+
 void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& fn,
                              int max_parallel) {
   if (begin >= end) return;
-  const size_t len = end - begin;
-  size_t chunks = static_cast<size_t>(
-      max_parallel > 0 ? std::min(max_parallel, num_threads())
-                       : num_threads());
-  chunks = std::min(chunks, len);
-  // Inline fast path: trivial range, serial cap, or already on a worker
-  // (nested parallelism) — same fn(i) calls, so identical results.
-  if (chunks <= 1 || InWorker()) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-
-  // Contiguous even split; chunk c covers [begin + c*len/chunks,
-  // begin + (c+1)*len/chunks). The caller runs chunk 0 itself while the
-  // pool runs the rest.
-  auto run_chunk = [&](size_t c) {
-    const size_t lo = begin + c * len / chunks;
-    const size_t hi = begin + (c + 1) * len / chunks;
-    for (size_t i = lo; i < hi; ++i) fn(i);
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  for (size_t c = 1; c < chunks; ++c) {
-    futures.push_back(Submit([run_chunk, c] { run_chunk(c); }));
-  }
-  std::exception_ptr first_error;
-  try {
-    run_chunk(0);
-    // Not swallowed: the exception is stored and rethrown below, after every
-    // chunk has been joined (rethrowing early would let tasks outlive `fn`).
-  } catch (...) {  // fablint:allow(safety-catch-all)
-    first_error = std::current_exception();
-  }
-  // Wait for every chunk before rethrowing so no task outlives `fn`.
-  for (auto& future : futures) {
-    try {
-      future.get();
-      // Not swallowed: first exception wins and is rethrown below; later
-      // ones are dropped deliberately to mirror serial first-failure order.
-    } catch (...) {  // fablint:allow(safety-catch-all)
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  const int width =
+      max_parallel > 0 ? std::min(max_parallel, num_threads()) : num_threads();
+  const size_t helpers =
+      std::min(static_cast<size_t>(width) - 1, end - begin - 1);
+  auto state = std::make_shared<LoopState>(begin, end, fn);
+  for (size_t h = 0; h < helpers; ++h) Enqueue([state] { state->Work(); });
+  state->Work();
+  state->WaitAndRethrow();
 }
 
 namespace {
@@ -204,12 +244,11 @@ void SetSharedPoolThreads(int num_threads) {
 
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, int max_parallel) {
-  // Nested calls from pool workers run inline (exactly what
-  // ThreadPool::ParallelFor would do) without taking the singleton lock
-  // or a pool reference — so a worker can never end up holding the last
-  // reference to its own pool and joining itself.
-  if (ThreadPool::InWorker()) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+  if (t_worker_pool != nullptr) {
+    // Nested call: fan out on the worker's own pool, which outlives every
+    // task it runs. Taking a SharedPool() reference here could leave this
+    // worker holding the last one after a resize, and join itself.
+    t_worker_pool->ParallelFor(begin, end, fn, max_parallel);
     return;
   }
   SharedPool()->ParallelFor(begin, end, fn, max_parallel);

@@ -22,22 +22,25 @@ namespace fab::util {
 /// report it). Always returns >= 1.
 int ResolveThreads(int requested);
 
-/// Fixed-size worker pool ("work-stealing-lite"): one shared FIFO task
-/// queue drained by `num_threads` workers, plus a caller-participates
-/// `ParallelFor` whose chunk results land in caller-visible, index-owned
-/// slots — so the *schedule* may vary with thread count while every
-/// output stays bitwise identical.
+/// Fixed-size worker pool: one shared FIFO task queue drained by
+/// `num_threads` workers, plus a work-sharing `ParallelFor` in which the
+/// caller and up to width-1 helper tasks claim loop indices from one
+/// shared atomic counter. Results land in caller-visible, index-owned
+/// slots, so the *schedule* may vary with thread count while every output
+/// stays bitwise identical.
 ///
 /// Determinism contract: ParallelFor promises only that `fn(i)` runs
-/// exactly once for every index. Callers make parallel code thread-count
-/// invariant by (a) deriving any RNG stream from `(seed, i)`, never from
-/// a shared sequential generator, and (b) writing results into slot `i`
-/// and reducing sequentially in index order afterwards.
+/// exactly once for every index (unless an earlier index threw; see
+/// ParallelFor). Callers make parallel code thread-count invariant by
+/// (a) deriving any RNG stream from `(seed, i)`, never from a shared
+/// sequential generator, and (b) writing results into slot `i` and
+/// reducing sequentially in index order afterwards.
 ///
-/// Nested-submit safety: a ParallelFor issued from inside a pool worker
-/// (e.g. a forest fit running under a scenario fan-out) executes inline
-/// on that worker instead of re-entering the queue, so nesting can never
-/// deadlock and never changes results.
+/// Nesting: a ParallelFor issued from inside a pool task fans out like
+/// any other — it enqueues helpers and claims indices itself. It cannot
+/// deadlock: the caller never waits for a queued helper, only for indices
+/// a running helper has already claimed, and each such helper is making
+/// progress under the same rule one level down.
 ///
 /// Lock discipline is compiler-checked: queue_ and stopping_ carry
 /// FAB_GUARDED_BY(mu_) and a Clang `-DFAB_THREAD_SAFETY=ON` build
@@ -66,19 +69,18 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs `fn(i)` exactly once for every i in [begin, end), splitting the
-  /// range into at most `max_parallel` contiguous chunks (0 = one per
-  /// worker) executed by the pool and the calling thread together. Blocks
-  /// until every index completes. The first exception (in chunk order) is
-  /// rethrown after all chunks finish. Runs inline when called from a
-  /// pool worker, when the range is trivial, or when capped to one chunk.
+  /// Runs `fn(i)` exactly once for every i in [begin, end) on the calling
+  /// thread plus up to width-1 helper tasks (width = `max_parallel`
+  /// capped at num_threads(); 0 = num_threads()), which all claim indices
+  /// from one shared counter. Returns once every index has been claimed
+  /// and every claimed index has finished; helpers still queued then find
+  /// the range used up and return without touching `fn`. If some `fn(i)`
+  /// throws, indices above the lowest throwing one that have not started
+  /// yet are skipped, and the exception of the lowest throwing index is
+  /// rethrown — the same one a serial loop would throw.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    int max_parallel = 0) FAB_EXCLUDES(mu_);
-
-  /// True when the calling thread is one of this process's pool workers
-  /// (any pool; used to detect nesting).
-  static bool InWorker();
 
  private:
   void Enqueue(std::function<void()> task) FAB_EXCLUDES(mu_);
@@ -110,11 +112,13 @@ std::shared_ptr<ThreadPool> SharedPool();
 /// pool they started with; only new SharedPool() calls see the new pool.
 void SetSharedPoolThreads(int num_threads);
 
-/// Shared-pool convenience wrapper: ThreadPool::ParallelFor on
-/// SharedPool(). `max_parallel` caps concurrency (0 = pool width, 1 =
-/// serial inline). When called from inside a pool worker the loop runs
-/// inline without touching the singleton at all, so nested calls never
-/// contend on (or pin) the shared pool.
+/// Pool-level convenience wrapper: ThreadPool::ParallelFor on the pool
+/// the caller runs in — the worker's own pool when called from a pool
+/// task, SharedPool() otherwise. `max_parallel` caps concurrency (0 =
+/// pool width, 1 = serial on the caller). A nested call reaches its pool
+/// through a raw pointer, never a SharedPool() reference, so a worker can
+/// never end up holding the last reference to its own pool and joining
+/// itself.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, int max_parallel = 0);
 

@@ -1,14 +1,23 @@
 // Proves the pipeline's thread-count-invariance guarantee: PFI, SHAP,
-// a full FRA run, forest training and an improvement-style CV fold all
-// produce BITWISE-identical doubles at shared-pool widths 1, 2 and 8.
-// Every assertion below is EXPECT_EQ on doubles, deliberately not
-// approximate — parallel units derive their RNG streams from
-// (seed, unit_index) and reduce in index order, so nothing may drift.
+// a full FRA run (from the top level and from inside a pool task),
+// forest and GBDT training, feature binning, an improvement-style CV fold
+// and the exported model snapshots all produce BITWISE-identical output
+// at shared-pool widths 1, 2 and 8. Every assertion below is EXPECT_EQ on
+// doubles or bytes, deliberately not approximate — parallel units derive
+// their RNG streams from (seed, unit_index) and reduce in index order, so
+// nothing may drift.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "core/experiments.h"
 #include "core/fra.h"
 #include "explain/permutation.h"
 #include "explain/shap.h"
@@ -81,6 +90,34 @@ class DeterminismTest : public ::testing::Test {
     return params;
   }
 
+  static core::FraOptions SmallFra() {
+    core::FraOptions options;
+    options.target_size = 6;
+    options.rf.n_trees = 10;
+    options.rf.max_depth = 5;
+    options.rf.max_features = 0.5;
+    options.xgb.n_rounds = 15;
+    options.xgb.max_depth = 3;
+    options.pfi_repeats = 1;
+    options.seed = 909;
+    return options;
+  }
+
+  static void ExpectSameFra(const core::FraResult& run,
+                            const core::FraResult& baseline, int threads) {
+    EXPECT_EQ(run.selected, baseline.selected)
+        << "ranking differs at threads=" << threads;
+    ASSERT_EQ(run.selected_scores.size(), baseline.selected_scores.size());
+    for (size_t i = 0; i < run.selected_scores.size(); ++i) {
+      EXPECT_EQ(run.selected_scores[i], baseline.selected_scores[i]);
+    }
+    ASSERT_EQ(run.history.size(), baseline.history.size());
+    for (size_t i = 0; i < run.history.size(); ++i) {
+      EXPECT_EQ(run.history[i].features_removed,
+                baseline.history[i].features_removed);
+    }
+  }
+
   ml::Dataset train_, valid_;
 };
 
@@ -147,19 +184,43 @@ TEST_F(DeterminismTest, ImprovementCvFoldBitwiseInvariant) {
   });
 }
 
+TEST_F(DeterminismTest, GbdtFitBitwiseInvariant) {
+  ExpectInvariantAcrossThreadCounts([&] {
+    ml::GbdtParams params;
+    params.n_rounds = 20;
+    params.max_depth = 3;
+    params.subsample = 0.8;
+    params.colsample = 0.7;
+    params.seed = 23;
+    ml::GbdtRegressor xgb(params);
+    EXPECT_TRUE(xgb.Fit(train_.x, train_.y).ok());
+    std::vector<double> out = xgb.Predict(valid_.x);
+    const std::vector<double> imp = xgb.FeatureImportances();
+    out.insert(out.end(), imp.begin(), imp.end());
+    return out;
+  });
+}
+
+TEST_F(DeterminismTest, BinnedMatrixBuildBitwiseInvariant) {
+  ExpectInvariantAcrossThreadCounts([&] {
+    const auto binned = ml::BinnedMatrix::Build(train_.x);
+    EXPECT_TRUE(binned.ok());
+    std::vector<double> out;
+    for (size_t c = 0; c < binned->cols(); ++c) {
+      out.push_back(binned->num_bins(c));
+      for (int b = 0; b < binned->num_bins(c); ++b) {
+        out.push_back(binned->upper_edge(c, b));
+      }
+      for (uint8_t code : binned->codes(c)) out.push_back(code);
+    }
+    return out;
+  });
+}
+
 TEST_F(DeterminismTest, FraBitwiseInvariant) {
   // A full (small) FRA run: iterations of four importance fits plus the
   // final consensus ranking — the pipeline's hottest composite path.
-  core::FraOptions options;
-  options.target_size = 6;
-  options.rf.n_trees = 10;
-  options.rf.max_depth = 5;
-  options.rf.max_features = 0.5;
-  options.xgb.n_rounds = 15;
-  options.xgb.max_depth = 3;
-  options.pfi_repeats = 1;
-  options.seed = 909;
-
+  const core::FraOptions options = SmallFra();
   util::SetSharedPoolThreads(1);
   const auto baseline = core::RunFra(train_, options);
   ASSERT_TRUE(baseline.ok());
@@ -167,19 +228,77 @@ TEST_F(DeterminismTest, FraBitwiseInvariant) {
     util::SetSharedPoolThreads(kThreadCounts[k]);
     const auto run = core::RunFra(train_, options);
     ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run->selected, baseline->selected)
-        << "ranking differs at threads=" << kThreadCounts[k];
-    ASSERT_EQ(run->selected_scores.size(), baseline->selected_scores.size());
-    for (size_t i = 0; i < run->selected_scores.size(); ++i) {
-      EXPECT_EQ(run->selected_scores[i], baseline->selected_scores[i]);
-    }
-    ASSERT_EQ(run->history.size(), baseline->history.size());
-    for (size_t i = 0; i < run->history.size(); ++i) {
-      EXPECT_EQ(run->history[i].features_removed,
-                baseline->history[i].features_removed);
-    }
+    ExpectSameFra(*run, *baseline, kThreadCounts[k]);
   }
   util::SetSharedPoolThreads(0);
+}
+
+TEST_F(DeterminismTest, FraInsidePoolTaskBitwiseInvariant) {
+  // The nested path: FRA issued from a pool task, as PrecomputeAll's
+  // scenario fan-out runs it, so every ParallelFor inside it fans out
+  // from a worker. Compared against a top-level run at width 1.
+  const core::FraOptions options = SmallFra();
+  util::SetSharedPoolThreads(1);
+  const auto baseline = core::RunFra(train_, options);
+  ASSERT_TRUE(baseline.ok());
+  for (int threads : kThreadCounts) {
+    util::SetSharedPoolThreads(threads);
+    const auto run = util::SharedPool()
+                         ->Submit([&] { return core::RunFra(train_, options); })
+                         .get();
+    ASSERT_TRUE(run.ok());
+    ExpectSameFra(*run, *baseline, threads);
+  }
+  util::SetSharedPoolThreads(0);
+}
+
+TEST(ExportDeterminismTest, ExportModelsSnapshotBytesInvariant) {
+  // The rf, xgb and mlp snapshots ExportModels fits side by side must be
+  // byte-identical at every width. The scenario and a small final vector
+  // (one FRA iteration, top 12 of FRA and SHAP) are computed by the first
+  // run and reused; only the fits are redone.
+  // The pid keeps this test and its `_tsan` twin, which ctest -j runs at
+  // the same time, out of each other's caches.
+  const std::string cache_dir = ::testing::TempDir() +
+                                "fab_determinism_export_" +
+                                std::to_string(::getpid());
+  std::filesystem::remove_all(cache_dir);
+  core::ExperimentConfig config;
+  config.seed = 11;
+  config.fast = true;
+  config.cache_dir = cache_dir;
+  config.manage_shared_pool = false;
+  config.fra.rf.n_trees = 8;
+  config.fra.rf.max_depth = 5;
+  config.fra.rf.max_features = 0.4;
+  config.fra.xgb.n_rounds = 12;
+  config.fra.xgb.max_depth = 3;
+  config.fra.pfi_repeats = 1;
+  config.fra.max_iterations = 1;
+  config.feature_vector.rf = config.fra.rf;
+  config.feature_vector.shap_row_limit = 40;
+  config.feature_vector.union_top_k = 12;
+  config.scoring_rf = config.fra.rf;
+  config.improvement.xgb = config.fra.xgb;
+  config.serving_mlp.hidden = {8, 4};
+  config.serving_mlp.epochs = 10;
+  core::Experiments ex(config);
+  ExpectInvariantAcrossThreadCounts([&] {
+    std::filesystem::remove_all(ex.ModelDir());
+    const auto paths = ex.ExportModels(core::StudyPeriod::k2019, 7);
+    EXPECT_TRUE(paths.ok()) << paths.status().ToString();
+    std::vector<std::string> bytes;
+    for (const std::string& path : paths.ok() ? *paths
+                                              : std::vector<std::string>{}) {
+      std::ifstream in(path, std::ios::binary);
+      std::ostringstream content;
+      content << in.rdbuf();
+      bytes.push_back(content.str());
+    }
+    EXPECT_EQ(bytes.size(), 3u);
+    return bytes;
+  });
+  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "net/forecast_service.h"
 #include "net/http_client.h"
 #include "net/json.h"
@@ -60,11 +62,11 @@ const serve::ModelKey kFastKey{"2019", 21, "xgb"};
 class HttpServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this test and its sanitizer twins, which ctest -j
+    // runs at the same time, out of each other's directories.
     root_ = (fs::temp_directory_path() /
-             ("fab_http_server_" + std::string(::testing::UnitTest::
-                                                   GetInstance()
-                                                       ->current_test_info()
-                                                       ->name())))
+             ("fab_http_server_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
     fs::remove_all(root_);
     fs::create_directories(root_);

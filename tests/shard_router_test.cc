@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "net/json.h"
 #include "serve/registry.h"
 
@@ -53,8 +55,10 @@ class SlowRegressor : public ml::Regressor {
 class ShardRouterTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this test and its `_asan` twin, which ctest -j runs
+    // at the same time, out of each other's directories.
     root_ = (fs::temp_directory_path() /
-             ("fab_shard_router_" +
+             ("fab_shard_router_" + std::to_string(::getpid()) + "_" +
               std::to_string(::testing::UnitTest::GetInstance()
                                  ->random_seed()) +
               "_" + ::testing::UnitTest::GetInstance()

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,14 +77,32 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
                          if (i == 3) throw std::invalid_argument("boom");
                        }),
       std::invalid_argument);
-  // The throw aborts only the remainder of its own chunk; every other
-  // chunk completes before the exception is rethrown.
-  EXPECT_GE(ran.load(), 76);
+  // Indices 0..3 always run; indices above the throwing one run only if
+  // they were claimed before the throw was recorded.
+  EXPECT_GE(ran.load(), 4);
   EXPECT_LE(ran.load(), 100);
   // The pool survives a throwing ParallelFor.
   std::vector<int> out(10, 0);
   pool.ParallelFor(0, out.size(), [&](size_t i) { out[i] = 1; });
   for (int v : out) EXPECT_EQ(v, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsLowestIndexException) {
+  // Several indices throw; whichever thread gets there first, the
+  // exception of the lowest index wins — the one a serial loop throws.
+  for (int n : {1, 2, 8}) {
+    ThreadPool pool(n);
+    for (int round = 0; round < 20; ++round) {
+      try {
+        pool.ParallelFor(0, 200, [](size_t i) {
+          if (i % 40 == 13) throw std::runtime_error(std::to_string(i));
+        });
+        ADD_FAILURE() << "no exception at threads=" << n;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "13") << "threads=" << n;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -116,19 +136,78 @@ TEST(ThreadPoolTest, ParallelForHonorsMaxParallelAndEmptyRange) {
       /*max_parallel=*/1);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
-  ThreadPool pool(2);
-  std::vector<int> sums(8, 0);
-  pool.ParallelFor(0, sums.size(), [&](size_t i) {
-    // On a worker thread the nested call executes inline; on the
-    // caller-run chunk it re-enters the pool. Either way it completes
-    // with full coverage and no deadlock.
-    std::vector<int> inner(100, 0);
-    pool.ParallelFor(0, inner.size(),
-                     [&](size_t j) { inner[j] = static_cast<int>(j); });
-    sums[i] = std::accumulate(inner.begin(), inner.end(), 0);
+TEST(ThreadPoolTest, NestedParallelForOnWorkerUsesMoreThanOneThread) {
+  ThreadPool pool(4);
+  // A ParallelFor issued from a pool task fans out like a top-level one.
+  // The caller holds on to its first index until another thread has run
+  // one, so the test does not depend on how fast helpers wake.
+  auto outer = pool.Submit([&pool] {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> helped{false};
+    pool.ParallelFor(0, 2, [&](size_t) {
+      if (std::this_thread::get_id() != caller) {
+        helped.store(true);
+        return;
+      }
+      for (int ms = 0; !helped.load() && ms < 10000; ++ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    return helped.load();
   });
-  for (int s : sums) EXPECT_EQ(s, 4950);
+  EXPECT_TRUE(outer.get());
+}
+
+TEST(ThreadPoolTest, ThreeLevelNestingCoversEveryIndexOnce) {
+  // Nested calls fan out at every level and cannot deadlock, even on a
+  // one-worker pool. Plain ints: each slot has one writer, and the pool
+  // must publish it to the caller (TSan checks the happens-before).
+  for (int n : {1, 2, 8}) {
+    ThreadPool pool(n);
+    constexpr size_t kFan = 6;
+    std::vector<int> hits(kFan * kFan * kFan, 0);
+    pool.ParallelFor(0, kFan, [&](size_t i) {
+      pool.ParallelFor(0, kFan, [&](size_t j) {
+        pool.ParallelFor(0, kFan,
+                         [&](size_t k) { ++hits[(i * kFan + j) * kFan + k]; });
+      });
+    });
+    for (int h : hits) EXPECT_EQ(h, 1) << "threads=" << n;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForReturnsWhileHelpersStillQueued) {
+  std::atomic<int> calls{0};
+  {
+    ThreadPool pool(2);
+    // Park both workers so the helpers of the next ParallelFor stay queued.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<int> parked{0};
+    std::vector<std::future<void>> blockers;
+    for (int w = 0; w < 2; ++w) {
+      blockers.push_back(pool.Submit([&parked, gate] {
+        parked.fetch_add(1);
+        gate.wait();
+      }));
+    }
+    while (parked.load() < 2) std::this_thread::yield();
+    {
+      std::vector<int> out(100, 0);
+      // The caller claims every index itself and returns; `out` and the
+      // lambda die while the helper is still in the queue.
+      pool.ParallelFor(0, out.size(), [&](size_t i) {
+        out[i] = 1;
+        calls.fetch_add(1);
+      });
+      for (int v : out) EXPECT_EQ(v, 1);
+    }
+    release.set_value();
+    for (auto& blocker : blockers) blocker.get();
+    // ~ThreadPool drains the queue: the late helper finds the range used
+    // up and must not call the dead lambda.
+  }
+  EXPECT_EQ(calls.load(), 100);
 }
 
 TEST(ThreadPoolTest, StressTenThousandTinyTasks) {

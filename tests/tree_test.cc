@@ -166,6 +166,65 @@ TEST(TreeTest, ZeroWeightSamplesIgnored) {
   EXPECT_DOUBLE_EQ(tree.PredictOne(*x, 2), 9.0);
 }
 
+TEST(TreeTest, SparseNodeSplitMatchesBruteForce) {
+  // 5 in-bag rows against 13 bins, so the root takes the sparse-histogram
+  // path. Rows with h = 0 and g != 0 are legal: the first two return bin
+  // 100's sums to exactly (0, 0) before a third row lands in it, and the
+  // bin must still be scanned once. Rows with g == h == 0 are out of bag
+  // and only add bins.
+  const std::vector<double> col = {1, 2,   3,   4,   5,   6,   7,  8,
+                                   9, 10, 100, 100, 100, 200, 300};
+  std::vector<double> g(col.size(), 0.0), h(col.size(), 0.0);
+  g[10] = 1.0;
+  g[11] = -1.0;
+  h[12] = h[13] = h[14] = 1.0;
+  g[14] = -10.0;
+  auto x = ColMatrix::FromColumns({col});
+  auto binned = BinnedMatrix::Build(*x);
+  ASSERT_TRUE(binned.ok());
+  ASSERT_GT(binned->num_bins(0), 5);
+  TreeParams params;
+  params.max_depth = 1;
+  RegressionTree tree;
+  ASSERT_TRUE(tree.Fit(*binned, g, h, params, nullptr).ok());
+
+  // Brute force: every in-bag value as a "x <= t" threshold.
+  auto objective = [](double gs, double hs) {
+    return hs > 0.0 ? gs * gs / hs : 0.0;
+  };
+  double total_g = 0.0, total_h = 0.0;
+  for (size_t i = 0; i < col.size(); ++i) {
+    total_g += g[i];
+    total_h += h[i];
+  }
+  double best_gain = 0.0;
+  double best_threshold = 0.0;
+  for (size_t t = 0; t < col.size(); ++t) {
+    if (g[t] == 0.0 && h[t] == 0.0) continue;
+    double gl = 0.0, hl = 0.0;
+    for (size_t i = 0; i < col.size(); ++i) {
+      if (col[i] <= col[t]) {
+        gl += g[i];
+        hl += h[i];
+      }
+    }
+    const double hr = total_h - hl;
+    if (hl < params.min_child_weight || hr < params.min_child_weight) continue;
+    const double gain = 0.5 * (objective(gl, hl) +
+                               objective(total_g - gl, hr) -
+                               objective(total_g, total_h));
+    if (gain > best_gain) {
+      best_gain = gain;
+      best_threshold = col[t];
+    }
+  }
+  ASSERT_EQ(best_threshold, 200.0);
+  ASSERT_EQ(tree.nodes().size(), 3u);
+  EXPECT_EQ(tree.nodes()[0].feature, 0);
+  EXPECT_EQ(tree.nodes()[0].threshold, best_threshold);
+  EXPECT_DOUBLE_EQ(tree.gain_importance()[0], best_gain);
+}
+
 TEST(TreeTest, CoverTracksHessianMass) {
   auto x = ColMatrix::FromColumns({{1, 2, 3, 4}});
   const RegressionTree tree = FitTree(*x, {1, 1, 9, 9}, TreeParams{});
