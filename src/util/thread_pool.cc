@@ -140,9 +140,6 @@ class LoopState {
     size_t claimed = 0;
     for (size_t i = next_.fetch_add(1); i < end_; i = next_.fetch_add(1)) {
       ++claimed;
-      // Indices above a known failure are claimed but not run: a serial
-      // loop would never have reached them.
-      if (i > error_index_.load()) continue;
       try {
         (*fn_)(i);
         // Not swallowed: the lowest-index exception is stored and
@@ -176,8 +173,8 @@ class LoopState {
  private:
   void RecordError(size_t i, std::exception_ptr error) FAB_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    if (i >= error_index_.load()) return;
-    error_index_.store(i);
+    if (i >= error_index_) return;
+    error_index_ = i;
     error_ = std::move(error);
   }
 
@@ -185,14 +182,13 @@ class LoopState {
   const size_t end_;
   const size_t total_;
   const std::function<void(size_t)>* const fn_;
-  /// Lowest index that threw so far (max = none). Written under mu_; read
-  /// without it as a skip hint — a stale read only runs an index that a
-  /// serial loop would have skipped, never changes which error wins.
-  std::atomic<size_t> error_index_{std::numeric_limits<size_t>::max()};
 
   Mutex mu_;
   CondVar cv_;
-  size_t done_ FAB_GUARDED_BY(mu_) = 0;  // indices finished or skipped
+  size_t done_ FAB_GUARDED_BY(mu_) = 0;  // indices finished
+  /// Lowest index that threw so far (max = none) and its exception.
+  size_t error_index_ FAB_GUARDED_BY(mu_) =
+      std::numeric_limits<size_t>::max();
   std::exception_ptr error_ FAB_GUARDED_BY(mu_);
 };
 

@@ -30,8 +30,7 @@ int ResolveThreads(int requested);
 /// stays bitwise identical.
 ///
 /// Determinism contract: ParallelFor promises only that `fn(i)` runs
-/// exactly once for every index (unless an earlier index threw; see
-/// ParallelFor). Callers make parallel code thread-count invariant by
+/// exactly once for every index. Callers make parallel code thread-count invariant by
 /// (a) deriving any RNG stream from `(seed, i)`, never from a shared
 /// sequential generator, and (b) writing results into slot `i` and
 /// reducing sequentially in index order afterwards.
@@ -75,9 +74,8 @@ class ThreadPool {
   /// from one shared counter. Returns once every index has been claimed
   /// and every claimed index has finished; helpers still queued then find
   /// the range used up and return without touching `fn`. If some `fn(i)`
-  /// throws, indices above the lowest throwing one that have not started
-  /// yet are skipped, and the exception of the lowest throwing index is
-  /// rethrown — the same one a serial loop would throw.
+  /// throws, every other index still runs, and the exception of the lowest
+  /// throwing index is rethrown — the same one a serial loop would throw.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    int max_parallel = 0) FAB_EXCLUDES(mu_);
