@@ -238,18 +238,43 @@ double MlpRegressor::Forward(
   const std::vector<double>* current = &input;
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
+    const bool hidden = l + 1 < layers_.size();
+    const size_t in = static_cast<size_t>(layer.in);
+    const size_t outs = static_cast<size_t>(layer.out);
+    const double* x = current->data();
     std::vector<double>& out = (*activations)[l];
-    out.assign(static_cast<size_t>(layer.out), 0.0);
-    for (int o = 0; o < layer.out; ++o) {
-      const double* w =
-          &layer.w[static_cast<size_t>(o) * static_cast<size_t>(layer.in)];
-      double acc = layer.b[static_cast<size_t>(o)];
-      for (int i = 0; i < layer.in; ++i) {
-        acc += w[i] * (*current)[static_cast<size_t>(i)];
+    out.resize(outs);
+    // Four outputs per pass give four independent add chains. Each one
+    // still starts at b[o] and adds w[o][i] * x[i] for i ascending, so
+    // every sum is rounded exactly as in a one-output loop.
+    size_t o = 0;
+    for (; o + 4 <= outs; o += 4) {
+      const double* w0 = &layer.w[o * in];
+      const double* w1 = w0 + in;
+      const double* w2 = w1 + in;
+      const double* w3 = w2 + in;
+      double a0 = layer.b[o];
+      double a1 = layer.b[o + 1];
+      double a2 = layer.b[o + 2];
+      double a3 = layer.b[o + 3];
+      for (size_t i = 0; i < in; ++i) {
+        const double xi = x[i];
+        a0 += w0[i] * xi;
+        a1 += w1[i] * xi;
+        a2 += w2[i] * xi;
+        a3 += w3[i] * xi;
       }
       // ReLU on hidden layers, identity on the output layer.
-      out[static_cast<size_t>(o)] =
-          (l + 1 == layers_.size()) ? acc : std::max(0.0, acc);
+      out[o] = hidden ? std::max(0.0, a0) : a0;
+      out[o + 1] = hidden ? std::max(0.0, a1) : a1;
+      out[o + 2] = hidden ? std::max(0.0, a2) : a2;
+      out[o + 3] = hidden ? std::max(0.0, a3) : a3;
+    }
+    for (; o < outs; ++o) {
+      const double* w = &layer.w[o * in];
+      double acc = layer.b[o];
+      for (size_t i = 0; i < in; ++i) acc += w[i] * x[i];
+      out[o] = hidden ? std::max(0.0, acc) : acc;
     }
     current = &out;
   }

@@ -1,16 +1,13 @@
 #include "net/forecast_service.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "net/json.h"
-#include "util/mutex.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
-#include "util/thread_annotations.h"
 
 namespace fab::net {
 
@@ -31,58 +28,28 @@ HttpResponse ErrorResponse(const Status& status) {
       "{\"error\":" + EscapeJson(status.ToString()) + "}");
 }
 
-/// Shared completion state for one /predict request: rows fan out to
-/// the shard's BatchServer, callbacks land here, and whichever
-/// completion drives `remaining` to zero serializes and sends the
-/// response. Row slots are index-owned (each callback writes only
-/// forecasts[i]), so the only cross-thread coordination is the counter
-/// and the first-error latch.
-struct PredictState {
-  std::vector<double> forecasts;
-  std::atomic<size_t> remaining{0};
-  Responder responder;
-  size_t shard = 0;
-  int retry_after_s = 1;
-
-  util::Mutex mu;
-  Status first_error FAB_GUARDED_BY(mu);
-
-  explicit PredictState(Responder r) : responder(std::move(r)) {}
-
-  void RecordError(const Status& status) {
-    util::MutexLock lock(mu);
-    if (first_error.ok()) first_error = status;
+/// Answers a /predict with `status`; a 429 carries the shard's
+/// Retry-After.
+void SendError(const Responder& responder, const Status& status,
+               const ShardedRouter& router, size_t shard) {
+  HttpResponse response = ErrorResponse(status);
+  if (response.status_code == 429) {
+    response.headers.emplace_back(
+        "Retry-After", std::to_string(router.RetryAfterSeconds(shard)));
   }
+  responder.Send(std::move(response));
+}
 
-  /// Called exactly once, by whoever completes the last row.
-  void Finish() {
-    Status error;
-    {
-      util::MutexLock lock(mu);
-      error = first_error;
-    }
-    if (!error.ok()) {
-      HttpResponse response = ErrorResponse(error);
-      if (response.status_code == 429) {
-        response.headers.emplace_back("Retry-After",
-                                      std::to_string(retry_after_s));
-      }
-      responder.Send(std::move(response));
-      return;
-    }
-    std::string body = "{\"forecasts\":[";
-    for (size_t i = 0; i < forecasts.size(); ++i) {
-      if (i != 0) body += ",";
-      body += JsonNumber(forecasts[i]);
-    }
-    body += "],\"shard\":" + std::to_string(shard) + "}";
-    responder.Send(HttpResponse::Json(200, std::move(body)));
+/// The 200 body: {"forecasts":[...],"shard":N}.
+std::string ForecastsBody(const std::vector<double>& forecasts, size_t shard) {
+  std::string body = "{\"forecasts\":[";
+  for (size_t i = 0; i < forecasts.size(); ++i) {
+    if (i != 0) body += ",";
+    body += JsonNumber(forecasts[i]);
   }
-
-  void CompleteOne() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) Finish();
-  }
-};
+  body += "],\"shard\":" + std::to_string(shard) + "}";
+  return body;
+}
 
 }  // namespace
 
@@ -149,57 +116,54 @@ void ForecastService::HandlePredict(const HttpRequest& request,
         "body requires a non-empty \"rows\" array of feature arrays")));
     return;
   }
-  std::vector<std::vector<double>> features;
-  features.reserve(rows->array().size());
+  // One row-major block for the whole request. Every row must be as wide
+  // as the first; the shard checks that width against the model's. The
+  // shape is checked before reserving, so the reservation is bounded by
+  // the cells actually parsed.
+  const size_t n = rows->array().size();
+  const JsonValue& first = rows->array().front();
+  const size_t width = first.is_array() ? first.array().size() : 0;
   for (const JsonValue& row : rows->array()) {
     if (!row.is_array()) {
       responder.Send(ErrorResponse(Status::InvalidArgument(
           "every \"rows\" entry must be an array of numbers")));
       return;
     }
-    std::vector<double> values;
-    values.reserve(row.array().size());
+    if (row.array().size() != width) {
+      responder.Send(ErrorResponse(Status::InvalidArgument(
+          "every row must have " + std::to_string(width) +
+          " features, like the first")));
+      return;
+    }
+  }
+  std::vector<double> block;
+  block.reserve(n * width);
+  for (const JsonValue& row : rows->array()) {
     for (const JsonValue& cell : row.array()) {
       if (!cell.is_number()) {
         responder.Send(ErrorResponse(Status::InvalidArgument(
             "every feature must be a number")));
         return;
       }
-      values.push_back(cell.number());
-    }
-    features.push_back(std::move(values));
-  }
-
-  auto state = std::make_shared<PredictState>(std::move(responder));
-  const size_t n = features.size();
-  state->forecasts.assign(n, 0.0);
-  state->shard = router_->ShardFor(key);
-  state->retry_after_s = router_->RetryAfterSeconds(state->shard);
-  // +1 sentinel held by this handler: Finish cannot fire until every
-  // row has been submitted (or synchronously refused), no matter how
-  // fast the callbacks land.
-  state->remaining.store(n + 1, std::memory_order_relaxed);
-
-  for (size_t i = 0; i < n; ++i) {
-    Admission admission = Admission::kAdmitted;
-    const Status submitted = router_->Submit(
-        key, std::move(features[i]),
-        [state, i](Result<double> result) {
-          if (result.ok()) {
-            state->forecasts[i] = *result;
-          } else {
-            state->RecordError(result.status());
-          }
-          state->CompleteOne();
-        },
-        &admission);
-    if (!submitted.ok()) {
-      // Callback never fires for a refused row: settle it here.
-      state->RecordError(submitted);
-      state->CompleteOne();
+      block.push_back(cell.number());
     }
   }
-  state->CompleteOne();  // release the sentinel
+
+  ShardedRouter* const router = router_;
+  const size_t shard = router->ShardFor(key);
+  // The callback fires only for an admitted request; a refusal is
+  // answered below with the responder kept here.
+  const Status submitted = router->Submit(
+      key, std::move(block), n,
+      [responder, router, shard](Result<std::vector<double>> forecasts) {
+        if (forecasts.ok()) {
+          responder.Send(
+              HttpResponse::Json(200, ForecastsBody(*forecasts, shard)));
+        } else {
+          SendError(responder, forecasts.status(), *router, shard);
+        }
+      });
+  if (!submitted.ok()) SendError(responder, submitted, *router, shard);
 }
 
 void ForecastService::HandleStatusz(const HttpRequest& request,

@@ -29,11 +29,14 @@ int HttpStatusFor(const Status& status);
 /// /metricsz) on the same server, so every forecast front-end is
 /// debuggable out of the box.
 ///
-/// Handlers are non-blocking: /predict fans each row into the shard's
-/// BatchServer via SubmitWithCallback and the LAST completion serializes
-/// and sends the response — no handler thread ever parks on a forecast,
-/// which is what lets a small worker pool sustain thousands of in-flight
-/// rows. Stateless apart from the router pointer; thread-safe.
+/// Handlers are non-blocking: /predict flattens its rows into one
+/// row-major block, and the router admits and queues that block whole
+/// on the shard's BatchServer (a bad row or a full shard refuses the
+/// whole request before any row runs). The block's one completion
+/// serializes and sends the response — no handler thread ever parks on
+/// a forecast, which is what lets a small worker pool sustain thousands
+/// of in-flight rows. Stateless apart from the router pointer;
+/// thread-safe.
 class ForecastService {
  public:
   /// `router` is borrowed and must outlive the service.

@@ -1,8 +1,9 @@
 #include "net/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace fab::net {
 
@@ -31,15 +32,18 @@ Result<double> JsonValue::GetNumber(const std::string& key) const {
 }
 
 /// Single-pass recursive-descent parser over a complete in-memory
-/// document. Position-tracked errors ("at byte N") make malformed client
-/// requests debuggable from the 400 response alone.
+/// document. Every value is parsed straight into its destination node,
+/// so an array element or object member is built in place rather than
+/// returned and moved. Position-tracked errors ("at byte N") make
+/// malformed client requests debuggable from the 400 response alone.
 class JsonParser {
  public:
   JsonParser(const std::string& text, int max_depth)
       : text_(text), max_depth_(max_depth) {}
 
   Result<JsonValue> Parse() {
-    FAB_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
+    JsonValue value;
+    FAB_RETURN_IF_ERROR(ParseValue(0, &value));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON document");
@@ -77,109 +81,113 @@ class JsonParser {
     return false;
   }
 
-  Result<JsonValue> ParseValue(int depth) {
+  bool AtDigit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  void SkipDigits() {
+    while (AtDigit()) ++pos_;
+  }
+
+  Status ParseValue(int depth, JsonValue* out) {
     if (depth > max_depth_) return Error("nesting too deep");
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(depth);
+        return ParseObject(depth, out);
       case '[':
-        return ParseArray(depth);
-      case '"': {
-        FAB_ASSIGN_OR_RETURN(std::string s, ParseString());
-        JsonValue v;
-        v.type_ = JsonValue::Type::kString;
-        v.string_ = std::move(s);
-        return v;
-      }
+        return ParseArray(depth, out);
+      case '"':
+        out->type_ = JsonValue::Type::kString;
+        return ParseString(&out->string_);
       case 't':
-      case 'f': {
-        JsonValue v;
-        v.type_ = JsonValue::Type::kBool;
+      case 'f':
+        out->type_ = JsonValue::Type::kBool;
         if (ConsumeLiteral("true")) {
-          v.bool_ = true;
-          return v;
+          out->bool_ = true;
+          return Status::OK();
         }
         if (ConsumeLiteral("false")) {
-          v.bool_ = false;
-          return v;
+          out->bool_ = false;
+          return Status::OK();
         }
         return Error("invalid literal");
-      }
       case 'n':
-        if (ConsumeLiteral("null")) return JsonValue();
+        if (ConsumeLiteral("null")) return Status::OK();
         return Error("invalid literal");
       default:
-        return ParseNumber();
+        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber(out);
+        return Error("expected a JSON value");
     }
   }
 
-  Result<JsonValue> ParseObject(int depth) {
+  Status ParseObject(int depth, JsonValue* out) {
     Consume('{');
-    JsonValue v;
-    v.type_ = JsonValue::Type::kObject;
+    out->type_ = JsonValue::Type::kObject;
     SkipWhitespace();
-    if (Consume('}')) return v;
+    if (Consume('}')) return Status::OK();
+    std::string key;
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected object key");
       }
-      FAB_ASSIGN_OR_RETURN(std::string key, ParseString());
+      key.clear();
+      FAB_RETURN_IF_ERROR(ParseString(&key));
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
-      FAB_ASSIGN_OR_RETURN(JsonValue member, ParseValue(depth + 1));
-      v.object_[std::move(key)] = std::move(member);
+      // A repeated key keeps its last value, as it always has.
+      JsonValue& member = out->object_[std::move(key)];
+      member = JsonValue();
+      FAB_RETURN_IF_ERROR(ParseValue(depth + 1, &member));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume('}')) return v;
+      if (Consume('}')) return Status::OK();
       return Error("expected ',' or '}' in object");
     }
   }
 
-  Result<JsonValue> ParseArray(int depth) {
+  Status ParseArray(int depth, JsonValue* out) {
     Consume('[');
-    JsonValue v;
-    v.type_ = JsonValue::Type::kArray;
+    out->type_ = JsonValue::Type::kArray;
     SkipWhitespace();
-    if (Consume(']')) return v;
+    if (Consume(']')) return Status::OK();
     while (true) {
-      FAB_ASSIGN_OR_RETURN(JsonValue element, ParseValue(depth + 1));
-      v.array_.push_back(std::move(element));
+      out->array_.emplace_back();
+      FAB_RETURN_IF_ERROR(ParseValue(depth + 1, &out->array_.back()));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume(']')) return v;
+      if (Consume(']')) return Status::OK();
       return Error("expected ',' or ']' in array");
     }
   }
 
-  Result<std::string> ParseString() {
+  Status ParseString(std::string* out) {
     Consume('"');
-    std::string out;
     while (true) {
       if (pos_ >= text_.size()) return Error("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return Status::OK();
       if (static_cast<unsigned char>(c) < 0x20) {
         return Error("raw control character in string");
       }
       if (c != '\\') {
-        out.push_back(c);
+        out->push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) return Error("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
           unsigned code = 0;
@@ -197,14 +205,14 @@ class JsonParser {
             return Error("surrogate \\u escapes unsupported");
           }
           if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
+            out->push_back(static_cast<char>(code));
           } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
           } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
           }
           break;
         }
@@ -214,28 +222,43 @@ class JsonParser {
     }
   }
 
-  Result<JsonValue> ParseNumber() {
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+  /// The grammar is checked first; std::from_chars then converts the
+  /// token in place, correctly rounded like strtod.
+  Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (Consume('-')) {
+    Consume('-');
+    if (Consume('0')) {
+      if (AtDigit()) return Error("leading zero in number");
+    } else if (AtDigit()) {
+      SkipDigits();
+    } else {
+      return Error("malformed number");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    if (Consume('.')) {
+      if (!AtDigit()) return Error("malformed number");
+      SkipDigits();
     }
-    if (pos_ == start) return Error("expected a JSON value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || end == token.c_str()) {
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!AtDigit()) return Error("malformed number");
+      SkipDigits();
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double parsed = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, parsed);
+    if (r.ec == std::errc::result_out_of_range) {
+      // from_chars leaves the value unset past the double range; strtod
+      // gives the IEEE answer (inf, or zero / the nearest subnormal).
+      parsed = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (r.ec != std::errc() || r.ptr != last) {
       pos_ = start;
       return Error("malformed number");
     }
-    JsonValue v;
-    v.type_ = JsonValue::Type::kNumber;
-    v.number_ = parsed;
-    return v;
+    out->type_ = JsonValue::Type::kNumber;
+    out->number_ = parsed;
+    return Status::OK();
   }
 
   const std::string& text_;

@@ -120,9 +120,11 @@ size_t ShardedRouter::ShardFor(const serve::ModelKey& key) const {
   return ShardOf(key, shards_.size());
 }
 
-Admission ShardedRouter::Admit(const Shard& shard) const {
+Admission ShardedRouter::Admit(const Shard& shard, size_t rows) const {
   const size_t depth = shard.server->QueueDepth();
-  if (depth >= options_.max_shard_queue) return Admission::kShedQueueFull;
+  if (depth + rows > options_.max_shard_queue) {
+    return Admission::kShedQueueFull;
+  }
   if (options_.slo_queue_wait_us > 0.0) {
     // Two signals: the live EMA-based prediction, and the obs-histogram
     // p99 of realized queue waits. The p99 arm is gated on current depth
@@ -139,7 +141,7 @@ Admission ShardedRouter::Admit(const Shard& shard) const {
 }
 
 Status ShardedRouter::Submit(const serve::ModelKey& key,
-                             std::vector<double> features,
+                             std::vector<double> block, size_t rows,
                              serve::BatchServer::Callback done,
                              Admission* admission) {
   if (admission != nullptr) *admission = Admission::kAdmitted;
@@ -150,7 +152,7 @@ Status ShardedRouter::Submit(const serve::ModelKey& key,
       registry_->Get(key);
   if (!servable.ok()) return servable.status();
 
-  const Admission verdict = Admit(shard);
+  const Admission verdict = Admit(shard, rows);
   if (verdict == Admission::kShedQueueFull) {
     if (admission != nullptr) *admission = verdict;
     shard.shed_full->Increment();
@@ -164,8 +166,9 @@ Status ShardedRouter::Submit(const serve::ModelKey& key,
                                " over queue-wait SLO");
   }
 
-  Status submitted = shard.server->SubmitWithCallback(
-      std::move(*servable), std::move(features), std::move(done));
+  Status submitted = shard.server->Submit(std::move(*servable),
+                                         std::move(block), rows,
+                                         std::move(done));
   if (submitted.ok()) {
     shard.admitted->Increment();
   } else if (submitted.code() == StatusCode::kUnavailable) {

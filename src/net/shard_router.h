@@ -33,7 +33,8 @@ struct ShardedRouterOptions {
   /// Per-shard BatchServer batching knobs.
   size_t max_batch = 64;
   int coalesce_wait_us = 200;
-  /// Hard per-shard queue bound: submits beyond it shed (HTTP 429).
+  /// Hard per-shard queue bound in rows: a request whose rows would
+  /// cross it sheds whole (HTTP 429).
   size_t max_shard_queue = 256;
   /// Admission SLO: when a shard's predicted queue wait exceeds this,
   /// new requests shed before latency collapses. 0 disables the check.
@@ -81,14 +82,19 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Admission-checked asynchronous forecast: resolves `key` in the
-  /// registry, applies the shard's admission predicate, and enqueues
-  /// onto the shard's BatchServer. The callback fires exactly once on
-  /// admitted requests. `admission` (optional) reports the verdict;
-  /// sheds return kUnavailable, unknown keys kNotFound.
-  [[nodiscard]] Status Submit(const serve::ModelKey& key, std::vector<double> features,
-                serve::BatchServer::Callback done,
-                Admission* admission = nullptr);
+  /// Admission-checked asynchronous forecast of one request: `rows`
+  /// feature rows, row-major in `block`. Resolves `key` in the registry
+  /// once, applies the shard's admission predicate once for all the
+  /// rows, and enqueues the block whole onto the shard's BatchServer —
+  /// the request is admitted entirely or not at all. The callback fires
+  /// exactly once, with one forecast per row, on admitted requests.
+  /// `admission` (optional) reports the verdict; sheds return
+  /// kUnavailable, unknown keys kNotFound, malformed blocks
+  /// kInvalidArgument.
+  [[nodiscard]] Status Submit(const serve::ModelKey& key,
+                              std::vector<double> block, size_t rows,
+                              serve::BatchServer::Callback done,
+                              Admission* admission = nullptr);
 
   /// Shard index serving `key` under this router's layout.
   size_t ShardFor(const serve::ModelKey& key) const;
@@ -121,8 +127,9 @@ class ShardedRouter {
   ShardedRouter(serve::ModelRegistry* registry,
                 const ShardedRouterOptions& options);
 
-  /// The admission predicate; kAdmitted means "enqueue now".
-  Admission Admit(const Shard& shard) const;
+  /// The admission predicate for a request of `rows` rows; kAdmitted
+  /// means "enqueue now".
+  Admission Admit(const Shard& shard, size_t rows) const;
 
   serve::ModelRegistry* const registry_;
   const ShardedRouterOptions options_;

@@ -91,51 +91,76 @@ void BatchServer::Shutdown() {
       abandoned.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    queued_rows_ = 0;
   }
   cv_.NotifyAll();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // Accepted requests are never silently lost: each one left at the
-  // drain deadline resolves with an explicit error, after the workers
-  // are gone (so completion order is deterministic per request).
-  requests_abandoned_.fetch_add(abandoned.size(), std::memory_order_relaxed);
+  // Accepted blocks are never silently lost: each one left at the drain
+  // deadline resolves with an explicit error, after the workers are gone
+  // (so completion order is deterministic per block).
   for (Request& request : abandoned) {
+    requests_abandoned_.fetch_add(request.rows, std::memory_order_relaxed);
     Complete(std::move(request),
              Status::Unavailable("shutdown deadline: request not served"));
   }
 }
 
-void BatchServer::Complete(Request request, Result<double> result) {
-  // Re-install the request's trace context: callbacks (PredictState
-  // completion, Responder::Send) run on a batch worker or the shutdown
+void BatchServer::Complete(Request request,
+                           Result<std::vector<double>> result) {
+  // Re-install the request's trace context: callbacks (the /predict
+  // response, Responder::Send) run on a batch worker or the shutdown
   // thread, neither of which carries it naturally.
   obs::ScopedTraceId scope(request.trace_id);
-  if (request.callback) {
-    request.callback(std::move(result));
-  } else {
-    request.promise.set_value(std::move(result));
-  }
+  request.done(std::move(result));
 }
 
-// fablint:hot — per-request admission; runs under mu_ on every Submit.
-Status BatchServer::Enqueue(Request request) {
+Status BatchServer::Enqueue(std::shared_ptr<const Servable> model,
+                            std::vector<double> block, size_t rows,
+                            Callback done) {
+  if (!done) {
+    return Status::InvalidArgument("Submit requires a completion callback");
+  }
+  if (rows == 0 || block.size() % rows != 0) {
+    return Status::InvalidArgument(
+        "block of " + std::to_string(block.size()) + " values is not " +
+        std::to_string(rows) + " rows of equal width");
+  }
+  const size_t width = block.size() / rows;
+  const size_t expected =
+      model != nullptr ? model->num_features() : num_features_.load();
+  if (expected != 0 && width != expected) {
+    return Status::InvalidArgument(
+        "feature count mismatch: got " + std::to_string(width) +
+        ", model expects " + std::to_string(expected));
+  }
+  Request request;
+  request.features = std::move(block);
+  request.rows = rows;
+  request.model = std::move(model);
+  request.done = std::move(done);
+  request.enqueued = obs::Clock::Now();
+  request.trace_id = obs::CurrentTraceId();
+  // fablint:hot — per-block admission; runs under mu_ on every Submit.
   {
     util::MutexLock lock(mu_);
     if (stopping_) {
       return Status::FailedPrecondition("server is shut down");
     }
-    if (options_.max_queue != 0 && queue_.size() >= options_.max_queue) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      // Shed path only: the request is rejected, so formatting the
+    if (options_.max_queue != 0 &&
+        queued_rows_ + rows > options_.max_queue) {
+      requests_rejected_.fetch_add(rows, std::memory_order_relaxed);
+      // Shed path only: the block is rejected, so formatting the
       // diagnostic is off the served-request path by construction.
       return Status::Unavailable(
           // fablint:allow(perf-hot-alloc)
-          "queue full: " + std::to_string(queue_.size()) + " of " +
+          "queue full: " + std::to_string(queued_rows_) + " of " +
           // fablint:allow(perf-hot-alloc)
-          std::to_string(options_.max_queue) + " slots in use");
+          std::to_string(options_.max_queue) + " rows in use");
     }
+    queued_rows_ += rows;
     // Deque block allocation is amortized and bounded by max_queue; no
     // reserve() exists on std::deque. fablint:allow(perf-hot-alloc)
     queue_.push_back(std::move(request));
@@ -147,26 +172,39 @@ Status BatchServer::Enqueue(Request request) {
       first_submit_ = obs::Clock::Now();
     }
   }
+  // fablint:endhot
   cv_.NotifyOne();
   return Status::OK();
 }
-// fablint:endhot
+
+Status BatchServer::Submit(std::shared_ptr<const Servable> model,
+                           std::vector<double> block, size_t rows,
+                           Callback done) {
+  if (model == nullptr) {
+    return Status::InvalidArgument("Submit requires a non-null model");
+  }
+  return Enqueue(std::move(model), std::move(block), rows, std::move(done));
+}
+
+Result<std::future<Result<double>>> BatchServer::SubmitRow(
+    std::shared_ptr<const Servable> model, std::vector<double> features) {
+  auto promise = std::make_shared<std::promise<Result<double>>>();
+  std::future<Result<double>> future = promise->get_future();
+  FAB_RETURN_IF_ERROR(Enqueue(
+      std::move(model), std::move(features), /*rows=*/1,
+      [promise](Result<std::vector<double>> result) {
+        if (result.ok()) {
+          promise->set_value(result->front());
+        } else {
+          promise->set_value(result.status());
+        }
+      }));
+  return future;
+}
 
 Result<std::future<Result<double>>> BatchServer::Submit(
     std::vector<double> features) {
-  const size_t expected = num_features_.load();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  std::future<Result<double>> future = request.promise.get_future();
-  FAB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
+  return SubmitRow(nullptr, std::move(features));
 }
 
 Result<std::future<Result<double>>> BatchServer::SubmitTo(
@@ -174,46 +212,7 @@ Result<std::future<Result<double>>> BatchServer::SubmitTo(
   if (model == nullptr) {
     return Status::InvalidArgument("SubmitTo requires a non-null model");
   }
-  const size_t expected = model->num_features();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.model = std::move(model);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  std::future<Result<double>> future = request.promise.get_future();
-  FAB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
-}
-
-Status BatchServer::SubmitWithCallback(std::shared_ptr<const Servable> model,
-                                       std::vector<double> features,
-                                       Callback done) {
-  if (model == nullptr) {
-    return Status::InvalidArgument(
-        "SubmitWithCallback requires a non-null model");
-  }
-  if (!done) {
-    return Status::InvalidArgument(
-        "SubmitWithCallback requires a completion callback");
-  }
-  const size_t expected = model->num_features();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.model = std::move(model);
-  request.callback = std::move(done);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  return Enqueue(std::move(request));
+  return SubmitRow(std::move(model), std::move(features));
 }
 
 Result<double> BatchServer::Forecast(std::vector<double> features) {
@@ -230,7 +229,7 @@ void BatchServer::UpdateModel(std::shared_ptr<const Servable> model) {
 
 size_t BatchServer::QueueDepth() const {
   util::MutexLock lock(mu_);
-  return queue_.size();
+  return queued_rows_;
 }
 
 double BatchServer::EstimatedQueueWaitUs() const {
@@ -239,7 +238,7 @@ double BatchServer::EstimatedQueueWaitUs() const {
   size_t depth;
   {
     util::MutexLock lock(mu_);
-    depth = queue_.size();
+    depth = queued_rows_;
   }
   const int threads = util::ResolveThreads(options_.num_threads);
   return static_cast<double>(depth) * row_us /
@@ -257,37 +256,47 @@ void BatchServer::WorkerLoop() {
       // stopping_ happens with mu_ held.
       while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping and fully drained
-      if (queue_.size() < options_.max_batch && options_.coalesce_wait_us > 0 &&
+      if (queued_rows_ < options_.max_batch && options_.coalesce_wait_us > 0 &&
           !stopping_) {
-        // Hold the batch open briefly so bursty single-row traffic
-        // coalesces instead of running one row at a time.
+        // Hold the batch open briefly so bursty small blocks coalesce
+        // instead of running a few rows at a time.
         const auto deadline =
             obs::Clock::Now() +
             std::chrono::microseconds(options_.coalesce_wait_us);
-        while (!stopping_ && queue_.size() < options_.max_batch) {
+        while (!stopping_ && queued_rows_ < options_.max_batch) {
           if (!cv_.WaitUntil(mu_, deadline)) break;  // timed out
         }
         // Another worker may have drained the queue while we waited.
         if (queue_.empty()) continue;
       }
-      // Extract the maximal same-model run: rows for the front request's
-      // effective model coalesce into one batch; requests for other
-      // models are put back in their original relative order and picked
-      // up by the next extraction. A default-model request (null model)
-      // and an explicit submit to that same servable batch together.
+      // Extract the maximal same-model run: blocks for the front block's
+      // effective model coalesce into one batch of at most max_batch rows
+      // (the first block is taken whole whatever its size); blocks for
+      // other models, and the first one that would overflow the batch,
+      // are put back in their original relative order and picked up by
+      // the next extraction. A default-model block (null model) and an
+      // explicit submit to that same servable batch together.
       model = queue_.front().model != nullptr ? queue_.front().model : model_;
       std::vector<Request> skipped;
-      while (!queue_.empty() && batch.size() < options_.max_batch) {
+      size_t batch_rows = 0;
+      while (!queue_.empty() && batch_rows < options_.max_batch) {
         Request request = std::move(queue_.front());
         queue_.pop_front();
         const Servable* effective =
             request.model != nullptr ? request.model.get() : model_.get();
-        if (effective == model.get()) {
-          batch.push_back(std::move(request));
-        } else {
+        if (effective != model.get()) {
           skipped.push_back(std::move(request));
+          continue;
         }
+        if (!batch.empty() &&
+            batch_rows + request.rows > options_.max_batch) {
+          skipped.push_back(std::move(request));
+          break;
+        }
+        batch_rows += request.rows;
+        batch.push_back(std::move(request));
       }
+      queued_rows_ -= batch_rows;
       for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
         queue_.push_front(std::move(*it));
       }
@@ -300,13 +309,14 @@ void BatchServer::WorkerLoop() {
 
 void BatchServer::RunBatch(std::vector<Request> batch,
                            const std::shared_ptr<const Servable>& model) {
-  const size_t rows = batch.size();
+  size_t rows = 0;
+  for (const Request& request : batch) rows += request.rows;
   FAB_TRACE_SCOPE("serve/batch", {{"rows", rows}});
-  // Queue wait ends here: the requests just left the queue for a batch.
+  // Queue wait ends here: the blocks just left the queue for a batch.
   const obs::Clock::time_point batch_start = obs::Clock::Now();
   for (const Request& request : batch) {
     // Explicit trace id: the batch thread has no request context of its
-    // own, but each row remembers who submitted it.
+    // own, but each block remembers who submitted it.
     queue_wait_us_hist_.Record(
         obs::Clock::MicrosBetween(request.enqueued, batch_start),
         request.trace_id);
@@ -314,13 +324,20 @@ void BatchServer::RunBatch(std::vector<Request> batch,
   batch_size_hist_.Record(static_cast<double>(rows));
   const size_t expected =
       model != nullptr ? model->num_features() : num_features_.load();
-  const size_t cols = expected != 0 ? expected : batch.front().features.size();
+  const size_t cols = expected != 0
+                          ? expected
+                          : batch.front().features.size() / batch.front().rows;
   ml::ColMatrix x(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const std::vector<double>& features = batch[r].features;
-    for (size_t c = 0; c < cols && c < features.size(); ++c) {
-      x.set(r, c, features[c]);
+  size_t first_row = 0;
+  for (const Request& request : batch) {
+    const size_t width = request.features.size() / request.rows;
+    for (size_t c = 0; c < cols && c < width; ++c) {
+      std::vector<double>& column = x.mutable_column(c);
+      for (size_t r = 0; r < request.rows; ++r) {
+        column[first_row + r] = request.features[r * width + c];
+      }
     }
+    first_row += request.rows;
   }
   std::vector<double> pred =
       model != nullptr ? model->Predict(x) : std::vector<double>(rows, 0.0);
@@ -331,7 +348,7 @@ void BatchServer::RunBatch(std::vector<Request> batch,
                 static_cast<double>(rows),
             /*alpha=*/0.25);
   // End-to-end latency lands in the bounded histogram — no sample cap,
-  // no unbounded vector, O(1) memory for any request volume. Each row
+  // no unbounded vector, O(1) memory for any request volume. Each block
   // also drops a per-request span into the flight ring: the shard-batch
   // leg of the request's /tracez span tree (enqueue → completion).
   for (const Request& request : batch) {
@@ -341,15 +358,24 @@ void BatchServer::RunBatch(std::vector<Request> batch,
                           done);
   }
   {
-    // Record stats before fulfilling the promises: once a caller's future
-    // resolves, a subsequent Stats() call must already count that request.
+    // Record stats before completing the blocks: once a caller sees its
+    // forecasts, a subsequent Stats() call must already count them.
     util::MutexLock lock(stats_mu_);
     requests_completed_ += rows;
     batches_run_ += 1;
     last_complete_ = done;
   }
-  for (size_t r = 0; r < rows; ++r) {
-    Complete(std::move(batch[r]), pred[r]);
+  if (batch.size() == 1) {
+    Complete(std::move(batch.front()), std::move(pred));
+    return;
+  }
+  first_row = 0;
+  for (Request& request : batch) {
+    const auto begin = pred.begin() + static_cast<std::ptrdiff_t>(first_row);
+    first_row += request.rows;
+    Complete(std::move(request),
+             std::vector<double>(
+                 begin, pred.begin() + static_cast<std::ptrdiff_t>(first_row)));
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ml/forest.h"
 #include "util/random.h"
@@ -257,7 +259,7 @@ TEST(BatchServerTest, KeyedSubmitServesPerRequestModels) {
   EXPECT_FALSE(server.SubmitTo(nullptr, RowOf(queries, 0)).ok());
 }
 
-TEST(BatchServerTest, SubmitWithCallbackCompletesWithoutBlocking) {
+TEST(BatchServerTest, SubmitBlockCompletesWithoutBlocking) {
   auto model = TrainServable(54);
   const ml::ColMatrix queries = MakeMatrix(16, 6, 55);
   const std::vector<double> want = model->Predict(queries);
@@ -266,29 +268,107 @@ TEST(BatchServerTest, SubmitWithCallbackCompletesWithoutBlocking) {
   options.num_threads = 2;
   BatchServer server(nullptr, options);
 
+  // Four 4-row blocks; each callback gets its block's rows in order.
+  constexpr size_t kRows = 4;
   std::atomic<int> completions{0};
   std::atomic<int> mismatches{0};
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    const double expect = want[i];
-    Status admitted = server.SubmitWithCallback(
-        model, RowOf(queries, i), [&, expect](Result<double> result) {
+  for (size_t first = 0; first < queries.rows(); first += kRows) {
+    std::vector<double> block;
+    for (size_t r = first; r < first + kRows; ++r) {
+      const std::vector<double> row = RowOf(queries, r);
+      block.insert(block.end(), row.begin(), row.end());
+    }
+    const std::vector<double> expect(want.begin() + first,
+                                     want.begin() + first + kRows);
+    Status admitted = server.Submit(
+        model, std::move(block), kRows,
+        [&, expect](Result<std::vector<double>> result) {
           if (!result.ok() || *result != expect) mismatches.fetch_add(1);
           completions.fetch_add(1);
         });
     ASSERT_TRUE(admitted.ok());
   }
   server.Shutdown();  // drains: every callback has fired by return
-  EXPECT_EQ(completions.load(), static_cast<int>(queries.rows()));
+  EXPECT_EQ(completions.load(), static_cast<int>(queries.rows() / kRows));
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.Stats().requests_completed, queries.rows());
 
   // Admission-layer preconditions are synchronous errors.
   EXPECT_EQ(server
-                .SubmitWithCallback(nullptr, RowOf(queries, 0),
-                                    [](Result<double>) {})
+                .Submit(nullptr, RowOf(queries, 0), 1,
+                        [](Result<std::vector<double>>) {})
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.SubmitWithCallback(model, RowOf(queries, 0), nullptr).code(),
+  EXPECT_EQ(server.Submit(model, RowOf(queries, 0), 1, nullptr).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(BatchServerTest, BlockWithABadRowIsRefusedWhole) {
+  auto model = TrainServable(56);
+  BatchServerOptions options;
+  options.num_threads = 1;
+  BatchServer server(nullptr, options);
+  std::atomic<int> completions{0};
+  const auto count = [&completions](Result<std::vector<double>>) {
+    completions.fetch_add(1);
+  };
+  // Eleven values are not two rows; twelve are two rows of 6, not 3 of 4.
+  EXPECT_EQ(server.Submit(model, std::vector<double>(11, 0.0), 2, count).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Submit(model, std::vector<double>(12, 0.0), 3, count).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Submit(model, {}, 0, count).code(),
+            StatusCode::kInvalidArgument);
+  server.Shutdown();
+  EXPECT_EQ(completions.load(), 0);
+  EXPECT_EQ(server.Stats().batches_run, 0u);
+}
+
+TEST(BatchServerTest, QueueBoundCountsRowsAndNeverSplitsABlock) {
+  // The worker is parked on a 200ms row; a 5-slot queue then takes a
+  // 3-row block, refuses a 3-row block whole, and takes a 2-row one. A
+  // block larger than max_batch still runs as one batch.
+  BatchServerOptions options;
+  options.num_threads = 1;
+  options.max_batch = 2;
+  options.coalesce_wait_us = 0;
+  options.max_queue = 5;
+  auto slow = MakeSlowServable(200, 1.5);
+  BatchServer server(nullptr, options);
+  std::promise<void> parked;
+  ASSERT_TRUE(server
+                  .Submit(slow, {0.0}, 1,
+                          [&parked](Result<std::vector<double>>) {
+                            parked.set_value();
+                          })
+                  .ok());
+  while (server.QueueDepth() != 0) std::this_thread::yield();
+
+  std::atomic<int> sizes_ok{0};
+  const auto expect_rows = [&sizes_ok](size_t rows) {
+    return [&sizes_ok, rows](Result<std::vector<double>> result) {
+      if (result.ok() && result->size() == rows) sizes_ok.fetch_add(1);
+    };
+  };
+  ASSERT_TRUE(server.Submit(slow, std::vector<double>(3, 0.0), 3,
+                            expect_rows(3))
+                  .ok());
+  EXPECT_EQ(server.QueueDepth(), 3u);
+  EXPECT_EQ(server.Submit(slow, std::vector<double>(3, 0.0), 3,
+                          expect_rows(3))
+                .code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(server.Submit(slow, std::vector<double>(2, 0.0), 2,
+                            expect_rows(2))
+                  .ok());
+  EXPECT_EQ(server.QueueDepth(), 5u);
+  parked.get_future().wait();
+  server.Shutdown();
+  EXPECT_EQ(sizes_ok.load(), 2);
+  const BatchServerStats stats = server.Stats();
+  EXPECT_EQ(stats.requests_rejected, 3u);
+  EXPECT_EQ(stats.requests_completed, 6u);
+  EXPECT_EQ(stats.batches_run, 3u);  // 1 row, then 3 (> max_batch), then 2
 }
 
 TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {

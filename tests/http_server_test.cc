@@ -15,8 +15,10 @@
 #include "net/forecast_service.h"
 #include "net/http_client.h"
 #include "net/json.h"
+#include "ml/mlp.h"
 #include "net/shard_router.h"
 #include "serve/registry.h"
+#include "util/random.h"
 
 namespace fab::net {
 namespace {
@@ -56,6 +58,24 @@ class SlowRegressor : public ml::Regressor {
 // "rf" keys land on shard 0 under 2 shards, "xgb" keys on shard 1.
 const serve::ModelKey kSlowKey{"2017", 7, "rf"};
 const serve::ModelKey kFastKey{"2019", 21, "xgb"};
+// Served by a fitted two-feature MLP, so its row width is known.
+const serve::ModelKey kWidthKey{"2019", 7, "mlp"};
+
+std::unique_ptr<ml::Regressor> FittedTwoFeatureMlp() {
+  Rng rng(3);
+  std::vector<double> a(40), b(40), y(40);
+  for (size_t i = 0; i < y.size(); ++i) {
+    a[i] = rng.Normal();
+    b[i] = rng.Normal();
+    y[i] = a[i] - b[i];
+  }
+  ml::MlpParams params;
+  params.hidden = {4};
+  params.epochs = 2;
+  auto mlp = std::make_unique<ml::MlpRegressor>(params);
+  EXPECT_TRUE(mlp->Fit(*ml::ColMatrix::FromColumns({a, b}), y).ok());
+  return mlp;
+}
 
 /// Full stack on an ephemeral port: registry → router → service →
 /// HttpServer, talked to through HttpClient over a real socket.
@@ -79,6 +99,23 @@ class HttpServerTest : public ::testing::Test {
                     ->Put(kFastKey,
                           std::make_unique<SlowRegressor>(0, 3.5))
                     .ok());
+    ASSERT_TRUE(registry_->Put(kWidthKey, FittedTwoFeatureMlp()).ok());
+  }
+
+  /// `field` summed over the shards' BatchServers, read via /statusz.
+  double ServerTotal(HttpClient& client, const std::string& field) {
+    Result<HttpResponse> response = client.Get("/statusz");
+    EXPECT_TRUE(response.ok() && response->status_code == 200);
+    if (!response.ok()) return -1.0;
+    Result<JsonValue> body = ParseJson(response->body);
+    EXPECT_TRUE(body.ok());
+    if (!body.ok()) return -1.0;
+    double total = 0.0;
+    for (const JsonValue& shard :
+         body->Find("router")->Find("shards")->array()) {
+      total += *shard.Find("server")->GetNumber(field);
+    }
+    return total;
   }
 
   void StartStack(EventLoop::Backend backend = EventLoop::DefaultBackend(),
@@ -173,6 +210,22 @@ TEST_F(HttpServerTest, ErrorMapping) {
                     PredictBody(kFastKey, "[[1.0],\"oops\"]")))
           .status_code,
       400);
+  // Ragged rows: a block needs one width, even for a model of unknown
+  // width.
+  EXPECT_EQ(
+      (*client.Post("/predict", PredictBody(kFastKey, "[[1.0,2.0],[3.0]]")))
+          .status_code,
+      400);
+  // A wide first row followed by many scalars is refused on its shape,
+  // before rows × width values are ever reserved.
+  std::string hostile = "[[0";
+  for (int i = 1; i < 20000; ++i) hostile += ",0";
+  hostile += "]";
+  for (int i = 0; i < 20000; ++i) hostile += ",0";
+  hostile += "]";
+  EXPECT_EQ((*client.Post("/predict", PredictBody(kFastKey, hostile)))
+                .status_code,
+            400);
   // Unknown scenario key -> registry NotFound -> 404.
   serve::ModelKey unknown{"2031", 7, "rf"};
   Result<HttpResponse> missing =
@@ -301,6 +354,53 @@ TEST_F(HttpServerTest, SaturatedShardReturns429WithRetryAfter) {
   EXPECT_TRUE(retry_after_present.load())
       << "every 429 must carry Retry-After >= 1";
   EXPECT_EQ(fast_ok, 10) << "the unsaturated shard must keep serving";
+}
+
+TEST_F(HttpServerTest, OversizedRequestIsRefusedWholeWith429) {
+  // 16 rows against an 8-row shard queue: the request is admitted whole
+  // or not at all, so it sheds and not one of its rows runs.
+  StartStack(EventLoop::DefaultBackend(), /*max_shard_queue=*/8);
+  HttpClient client("127.0.0.1", server_->port());
+  std::string rows = "[";
+  for (int i = 0; i < 16; ++i) rows += i == 0 ? "[1.0]" : ",[1.0]";
+  rows += "]";
+  Result<HttpResponse> response =
+      client.Post("/predict", PredictBody(kSlowKey, rows));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 429);
+  EXPECT_NE(response->Header("Retry-After"), nullptr);
+  EXPECT_EQ(ServerTotal(client, "requests_completed"), 0.0);
+  EXPECT_EQ(ServerTotal(client, "batches_run"), 0.0);
+
+  // An 8-row request fits and is served.
+  rows = "[[1.0],[1.0],[1.0],[1.0],[1.0],[1.0],[1.0],[1.0]]";
+  response = client.Post("/predict", PredictBody(kSlowKey, rows));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_EQ(ServerTotal(client, "requests_completed"), 8.0);
+}
+
+TEST_F(HttpServerTest, WrongWidthRowRejectsTheWholeRequest) {
+  StartStack();
+  HttpClient client("127.0.0.1", server_->port());
+  // The model takes two features; only the middle row is wrong.
+  Result<HttpResponse> response = client.Post(
+      "/predict", PredictBody(kWidthKey, "[[1.0,2.0],[3.0],[5.0,6.0]]"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 400);
+  // Every row wrong in the same way: the shard checks the model's width.
+  response =
+      client.Post("/predict", PredictBody(kWidthKey, "[[1.0],[3.0],[5.0]]"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status_code, 400);
+  EXPECT_EQ(ServerTotal(client, "requests_completed"), 0.0);
+  EXPECT_EQ(ServerTotal(client, "batches_run"), 0.0);
+
+  response = client.Post("/predict",
+                         PredictBody(kWidthKey, "[[1.0,2.0],[5.0,6.0]]"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_EQ(ServerTotal(client, "requests_completed"), 2.0);
 }
 
 /// Bare server with hand-registered routes — no registry/router stack —

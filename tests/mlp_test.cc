@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "explain/permutation.h"
 #include "ml/metrics.h"
@@ -35,6 +37,48 @@ MlpParams SmallParams() {
   params.batch_size = 32;
   params.learning_rate = 3e-3;
   return params;
+}
+
+/// FNV-1a 64 over the bit patterns of `values`, byte by byte.
+uint64_t HashBits(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const double v : values) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// Fits a fixed-seed network on five features and hashes its predictions.
+uint64_t PinnedPredictionHash(std::vector<int> hidden) {
+  Rng rng(21);
+  const size_t n = 300;
+  std::vector<std::vector<double>> cols(5, std::vector<double>(n));
+  std::vector<double> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (std::vector<double>& col : cols) col[i] = rng.Normal();
+    y[i] = std::sin(cols[0][i]) + cols[1][i] * cols[2][i] - 0.5 * cols[3][i] +
+           0.05 * rng.Normal();
+  }
+  const ColMatrix x = *ColMatrix::FromColumns(std::move(cols));
+  MlpParams params;
+  params.hidden = std::move(hidden);
+  params.epochs = 20;
+  params.seed = 5;
+  MlpRegressor mlp(params);
+  EXPECT_TRUE(mlp.Fit(x, y).ok());
+  return HashBits(mlp.Predict(x));
+}
+
+TEST(MlpTest, PredictionBitsPinned) {
+  // Fit and predict must keep their exact floating-point summation
+  // order, so the prediction bits never move. {7, 3} also runs the
+  // forward pass's one-output tail after its four-output blocks.
+  EXPECT_EQ(PinnedPredictionHash({64, 32}), 0x808784952f6dfae9ULL);
+  EXPECT_EQ(PinnedPredictionHash({7, 3}), 0x62b28f6d395521c6ULL);
 }
 
 TEST(MlpTest, RejectsBadInput) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+
+#include "util/random.h"
 
 namespace fab::net {
 namespace {
@@ -58,11 +65,56 @@ TEST(NetJsonTest, TypedAccessorsNameTheMissingField) {
 TEST(NetJsonTest, RejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated",
-        "\"bad\\q\"", "{\"a\":1} trailing", "[1] 2", "nul"}) {
+        "\"bad\\q\"", "{\"a\":1} trailing", "[1] 2", "nul",
+        // Numbers outside the RFC 8259 grammar.
+        "+1", "01", "-01", ".5", "1.", "-.5", "[1,+2]", "-", "1e", "1e+",
+        "0x10", "inf", "NaN", "[1.e3]"}) {
     EXPECT_FALSE(ParseJson(bad).ok()) << bad;
   }
   // Raw control characters must be escaped per RFC 8259.
   EXPECT_FALSE(ParseJson("\"a\nb\"").ok());
+}
+
+TEST(NetJsonTest, NumberEdgeCases) {
+  const Result<JsonValue> minus_zero = ParseJson("-0");
+  ASSERT_TRUE(minus_zero.ok());
+  EXPECT_EQ(minus_zero->number(), 0.0);
+  EXPECT_TRUE(std::signbit(minus_zero->number()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(ParseJson("4.9e-324")->number()), 1u);
+  // Out of the double range: the IEEE answer, not an error.
+  EXPECT_EQ(ParseJson("1e400")->number(), HUGE_VAL);
+  EXPECT_EQ(ParseJson("-1e400")->number(), -HUGE_VAL);
+  const Result<JsonValue> tiny = ParseJson("1e-400");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(std::bit_cast<uint64_t>(tiny->number()), 0u);
+  EXPECT_EQ(ParseJson("0.5E+1")->number(), 5.0);
+  EXPECT_EQ(ParseJson("[ 2e-1 ]")->array()[0].number(), 0.2);
+}
+
+TEST(NetJsonTest, NumbersMatchStrtodBitForBit) {
+  // Random bit patterns cover every exponent, subnormals included; %.17g
+  // is what the serving responses print.
+  Rng rng(8259);
+  char buf[40];
+  for (int i = 0; i < 100000; ++i) {
+    uint64_t bits = rng.NextU64();
+    // Every eighth value is a subnormal (biased exponent zero).
+    if (i % 8 == 0) bits &= 0x800FFFFFFFFFFFFFULL;
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    const Result<JsonValue> parsed = ParseJson(buf);
+    ASSERT_TRUE(parsed.ok()) << buf;
+    ASSERT_EQ(std::bit_cast<uint64_t>(parsed->number()),
+              std::bit_cast<uint64_t>(std::strtod(buf, nullptr)))
+        << buf;
+  }
+}
+
+TEST(NetJsonTest, RepeatedKeyKeepsLastValue) {
+  const Result<JsonValue> parsed = ParseJson("{\"a\":[1,2],\"a\":3}");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed->GetNumber("a"), 3.0);
 }
 
 TEST(NetJsonTest, BoundsNestingDepth) {

@@ -161,8 +161,8 @@ TEST_F(ShardRouterTest, UnknownKeyIsNotFound) {
   Result<std::unique_ptr<ShardedRouter>> router =
       ShardedRouter::Create(registry_.get(), ShardedRouterOptions{});
   ASSERT_TRUE(router.ok());
-  Status status = (*router)->Submit({"2031", 7, "rf"}, {1.0},
-                                    [](Result<double>) {});
+  Status status = (*router)->Submit({"2031", 7, "rf"}, {1.0}, 1,
+                                    [](Result<std::vector<double>>) {});
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
@@ -199,8 +199,8 @@ TEST_F(ShardRouterTest, SaturatedShardShedsWhileOthersServe) {
   for (int i = 0; i < 12; ++i) {
     Admission admission = Admission::kAdmitted;
     Status status = router.Submit(
-        slow_key, {1.0},
-        [&slow_done](Result<double>) { slow_done.fetch_add(1); },
+        slow_key, {1.0}, 1,
+        [&slow_done](Result<std::vector<double>>) { slow_done.fetch_add(1); },
         &admission);
     if (status.ok()) {
       EXPECT_EQ(admission, Admission::kAdmitted);
@@ -218,20 +218,21 @@ TEST_F(ShardRouterTest, SaturatedShardShedsWhileOthersServe) {
 
   // Shard 1 is unaffected: every fast submit admits and serves.
   for (int i = 0; i < 4; ++i) {
-    std::promise<Result<double>> promise;
-    std::future<Result<double>> future = promise.get_future();
+    std::promise<Result<std::vector<double>>> promise;
+    std::future<Result<std::vector<double>>> future = promise.get_future();
     Admission admission = Admission::kShedQueueFull;
     ASSERT_TRUE(router
-                    .Submit(fast_key, {1.0},
-                            [&promise](Result<double> r) {
+                    .Submit(fast_key, {1.0}, 1,
+                            [&promise](Result<std::vector<double>> r) {
                               promise.set_value(std::move(r));
                             },
                             &admission)
                     .ok());
     EXPECT_EQ(admission, Admission::kAdmitted);
-    Result<double> result = future.get();
+    Result<std::vector<double>> result = future.get();
     ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(*result, 3.5);
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_DOUBLE_EQ(result->front(), 3.5);
   }
 
   // Statsz is valid JSON and reflects the shed counters.
@@ -268,11 +269,11 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
   ShardedRouter& router = **created;
 
   // Seed the shard's service-time EMA with one completed 100ms row.
-  std::promise<Result<double>> first;
-  std::future<Result<double>> first_done = first.get_future();
+  std::promise<Result<std::vector<double>>> first;
+  std::future<Result<std::vector<double>>> first_done = first.get_future();
   ASSERT_TRUE(router
-                  .Submit(slow_key, {1.0},
-                          [&first](Result<double> r) {
+                  .Submit(slow_key, {1.0}, 1,
+                          [&first](Result<std::vector<double>> r) {
                             first.set_value(std::move(r));
                           })
                   .ok());
@@ -286,8 +287,9 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
   for (int i = 0; i < 12; ++i) {
     Admission admission = Admission::kAdmitted;
     Status status = router.Submit(
-        slow_key, {1.0},
-        [&done](Result<double>) { done.fetch_add(1); }, &admission);
+        slow_key, {1.0}, 1,
+        [&done](Result<std::vector<double>>) { done.fetch_add(1); },
+        &admission);
     if (status.ok()) {
       ++admitted;
     } else {
