@@ -1,14 +1,18 @@
 #include "core/experiments.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <optional>
+#include <sstream>
 
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "serve/registry.h"
 #include "serve/snapshot.h"
+#include "util/file.h"
 #include "util/obs/trace.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -31,6 +35,146 @@ bool EnvFlag(const char* name) {
 std::string EnvStr(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v == nullptr || *v == '\0') ? fallback : v;
+}
+
+// Stage caches are CSV files, one record per line. A reader accepts a
+// file only when every line parses in full: a torn or damaged file is a
+// miss, so the stage recomputes and overwrites it instead of returning
+// the records before the damage.
+
+/// The comma-split lines of `path`; none when it does not exist.
+std::vector<std::vector<std::string>> ReadCacheLines(const std::string& path) {
+  std::vector<std::vector<std::string>> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(Split(line, ','));
+  return lines;
+}
+
+/// `field` as a double, or nullopt unless all of it is one number.
+std::optional<double> ParseDouble(const std::string& field) {
+  char* end = nullptr;
+  const double value = std::strtod(field.c_str(), &end);
+  if (field.empty() || end != field.c_str() + field.size()) return std::nullopt;
+  return value;
+}
+
+/// `field` as a size, or nullopt unless all of it is one decimal number.
+std::optional<size_t> ParseSize(const std::string& field) {
+  size_t value = 0;
+  const char* last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, value);
+  if (ec != std::errc() || ptr != last) return std::nullopt;
+  return value;
+}
+
+/// Records are written at full precision so a cache hit returns the
+/// computed doubles bit for bit.
+std::ostringstream CacheStream() {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  return out;
+}
+
+/// name,value lines: FRA's survivors in rank order with their consensus
+/// scores (history is not persisted), or a scored vector's features with
+/// their importances. False unless every line parses and there is one.
+bool DecodeNamedValues(const std::vector<std::vector<std::string>>& lines,
+                       std::vector<std::string>* names,
+                       std::vector<double>* values) {
+  for (const auto& parts : lines) {
+    if (parts.size() != 2) return false;
+    const std::optional<double> value = ParseDouble(parts[1]);
+    if (!value) return false;
+    names->push_back(parts[0]);
+    values->push_back(*value);
+  }
+  return !names->empty();
+}
+
+std::string EncodeNamedValues(const std::vector<std::string>& names,
+                              const std::vector<double>& values) {
+  std::ostringstream out = CacheStream();
+  for (size_t i = 0; i < names.size(); ++i) {
+    out << names[i] << ',' << values[i] << '\n';
+  }
+  return out.str();
+}
+
+/// final/fra/shap,name lines, then the overlap line that ends the file.
+std::optional<FinalFeatureVector> DecodeFinalVector(
+    const std::vector<std::vector<std::string>>& lines) {
+  FinalFeatureVector fvec;
+  std::optional<size_t> overlap;
+  for (const auto& parts : lines) {
+    if (parts.size() != 2 || overlap) return std::nullopt;
+    if (parts[0] == "final") {
+      fvec.features.push_back(parts[1]);
+    } else if (parts[0] == "fra") {
+      fvec.fra_ranked.push_back(parts[1]);
+    } else if (parts[0] == "shap") {
+      fvec.shap_ranked.push_back(parts[1]);
+    } else if (parts[0] == "overlap") {
+      overlap = ParseSize(parts[1]);
+      if (!overlap) return std::nullopt;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (fvec.features.empty() || !overlap) return std::nullopt;
+  fvec.overlap_fra_shap_top100 = *overlap;
+  return fvec;
+}
+
+std::string EncodeFinalVector(const FinalFeatureVector& fvec) {
+  std::ostringstream out = CacheStream();
+  for (const auto& name : fvec.features) out << "final," << name << '\n';
+  for (const auto& name : fvec.fra_ranked) out << "fra," << name << '\n';
+  for (const auto& name : fvec.shap_ranked) out << "shap," << name << '\n';
+  out << "overlap," << fvec.overlap_fra_shap_top100 << '\n';
+  return out.str();
+}
+
+/// A diverse_mse line, then category,single,diverse,improvement lines.
+std::optional<ImprovementResult> DecodeImprovement(
+    const std::vector<std::vector<std::string>>& lines, StudyPeriod period,
+    int window, ModelKind model) {
+  ImprovementResult result;
+  result.period = period;
+  result.window = window;
+  result.model = model;
+  for (const auto& parts : lines) {
+    if (parts.size() == 2 && parts[0] == "diverse_mse") {
+      const std::optional<double> mse = ParseDouble(parts[1]);
+      if (!mse) return std::nullopt;
+      result.diverse_mse = *mse;
+      continue;
+    }
+    if (parts.size() != 4) return std::nullopt;
+    Result<sim::DataCategory> category = sim::CategoryFromKey(parts[0]);
+    const std::optional<double> single = ParseDouble(parts[1]);
+    const std::optional<double> diverse = ParseDouble(parts[2]);
+    const std::optional<double> pct = ParseDouble(parts[3]);
+    if (!category.ok() || !single || !diverse || !pct) return std::nullopt;
+    CategoryImprovement ci;
+    ci.category = *category;
+    ci.single_mse = *single;
+    ci.diverse_mse = *diverse;
+    ci.improvement_pct = *pct;
+    result.per_category.push_back(ci);
+  }
+  if (result.per_category.empty()) return std::nullopt;
+  return result;
+}
+
+std::string EncodeImprovement(const ImprovementResult& result) {
+  std::ostringstream out = CacheStream();
+  out << "diverse_mse," << result.diverse_mse << '\n';
+  for (const auto& ci : result.per_category) {
+    out << sim::CategoryKey(ci.category) << ',' << ci.single_mse << ','
+        << ci.diverse_mse << ',' << ci.improvement_pct << '\n';
+  }
+  return out.str();
 }
 
 }  // namespace
@@ -172,21 +316,10 @@ Status Experiments::PrecomputeAll(const std::vector<StudyPeriod>& periods,
 
 Result<FraResult> Experiments::Fra(StudyPeriod period, int window) {
   const std::string path = CachePath("fra_" + ScenarioTag(period, window) + ".csv");
-  // Cache hit: name,score rows in rank order (history is not persisted).
-  {
-    std::ifstream in(path);
-    if (in) {
-      FraResult cached;
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const std::vector<std::string> parts = Split(line, ',');
-        if (parts.size() != 2) break;
-        cached.selected.push_back(parts[0]);
-        cached.selected_scores.push_back(std::strtod(parts[1].c_str(), nullptr));
-      }
-      if (!cached.selected.empty()) return cached;
-    }
+  FraResult cached;
+  if (DecodeNamedValues(ReadCacheLines(path), &cached.selected,
+                        &cached.selected_scores)) {
+    return cached;
   }
   FAB_ASSIGN_OR_RETURN(const ScenarioDataset* scenario,
                        Scenario(period, window));
@@ -195,11 +328,8 @@ Result<FraResult> Experiments::Fra(StudyPeriod period, int window) {
                  (period == StudyPeriod::k2019 ? 31337 : 0);
   FAB_ASSIGN_OR_RETURN(FraResult result, RunFra(scenario->data, options));
   FAB_RETURN_IF_ERROR(EnsureCacheDir());
-  std::ofstream out(path);
-  out << std::setprecision(17);
-  for (size_t i = 0; i < result.selected.size(); ++i) {
-    out << result.selected[i] << ',' << result.selected_scores[i] << '\n';
-  }
+  FAB_RETURN_IF_ERROR(util::WriteFileAtomic(
+      path, EncodeNamedValues(result.selected, result.selected_scores)));
   return result;
 }
 
@@ -207,28 +337,9 @@ Result<FinalFeatureVector> Experiments::FinalVector(StudyPeriod period,
                                                     int window) {
   const std::string path =
       CachePath("fvec_" + ScenarioTag(period, window) + ".csv");
-  {
-    std::ifstream in(path);
-    if (in) {
-      FinalFeatureVector cached;
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const std::vector<std::string> parts = Split(line, ',');
-        if (parts.size() != 2) continue;
-        if (parts[0] == "final") {
-          cached.features.push_back(parts[1]);
-        } else if (parts[0] == "fra") {
-          cached.fra_ranked.push_back(parts[1]);
-        } else if (parts[0] == "shap") {
-          cached.shap_ranked.push_back(parts[1]);
-        } else if (parts[0] == "overlap") {
-          cached.overlap_fra_shap_top100 =
-              static_cast<size_t>(std::strtoull(parts[1].c_str(), nullptr, 10));
-        }
-      }
-      if (!cached.features.empty()) return cached;
-    }
+  if (std::optional<FinalFeatureVector> cached =
+          DecodeFinalVector(ReadCacheLines(path))) {
+    return *std::move(cached);
   }
   FAB_ASSIGN_OR_RETURN(const ScenarioDataset* scenario,
                        Scenario(period, window));
@@ -240,12 +351,7 @@ Result<FinalFeatureVector> Experiments::FinalVector(StudyPeriod period,
   FAB_ASSIGN_OR_RETURN(FinalFeatureVector result,
                        BuildFinalFeatureVector(scenario->data, fra, options));
   FAB_RETURN_IF_ERROR(EnsureCacheDir());
-  std::ofstream out(path);
-  out << std::setprecision(17);
-  for (const auto& name : result.features) out << "final," << name << '\n';
-  for (const auto& name : result.fra_ranked) out << "fra," << name << '\n';
-  for (const auto& name : result.shap_ranked) out << "shap," << name << '\n';
-  out << "overlap," << result.overlap_fra_shap_top100 << '\n';
+  FAB_RETURN_IF_ERROR(util::WriteFileAtomic(path, EncodeFinalVector(result)));
   return result;
 }
 
@@ -253,21 +359,11 @@ Result<ScoredFeatureVector> Experiments::ScoredVector(StudyPeriod period,
                                                       int window) {
   const std::string path =
       CachePath("score_" + ScenarioTag(period, window) + ".csv");
-  {
-    std::ifstream in(path);
-    if (in) {
-      ScoredFeatureVector cached;
-      cached.window = window;
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const std::vector<std::string> parts = Split(line, ',');
-        if (parts.size() != 2) continue;
-        cached.features.push_back(parts[0]);
-        cached.importance.push_back(std::strtod(parts[1].c_str(), nullptr));
-      }
-      if (!cached.features.empty()) return cached;
-    }
+  ScoredFeatureVector cached;
+  cached.window = window;
+  if (DecodeNamedValues(ReadCacheLines(path), &cached.features,
+                        &cached.importance)) {
+    return cached;
   }
   FAB_ASSIGN_OR_RETURN(const ScenarioDataset* scenario,
                        Scenario(period, window));
@@ -285,11 +381,8 @@ Result<ScoredFeatureVector> Experiments::ScoredVector(StudyPeriod period,
   result.features = fvec.features;
   result.importance = rf.FeatureImportances();
   FAB_RETURN_IF_ERROR(EnsureCacheDir());
-  std::ofstream out(path);
-  out << std::setprecision(17);
-  for (size_t i = 0; i < result.features.size(); ++i) {
-    out << result.features[i] << ',' << result.importance[i] << '\n';
-  }
+  FAB_RETURN_IF_ERROR(util::WriteFileAtomic(
+      path, EncodeNamedValues(result.features, result.importance)));
   return result;
 }
 
@@ -299,33 +392,9 @@ Result<ImprovementResult> Experiments::Improvement(StudyPeriod period,
   const std::string model_tag = model == ModelKind::kRandomForest ? "rf" : "xgb";
   const std::string path = CachePath("imp_" + ScenarioTag(period, window) +
                                      "_" + model_tag + ".csv");
-  {
-    std::ifstream in(path);
-    if (in) {
-      ImprovementResult cached;
-      cached.period = period;
-      cached.window = window;
-      cached.model = model;
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const std::vector<std::string> parts = Split(line, ',');
-        if (parts.size() == 2 && parts[0] == "diverse_mse") {
-          cached.diverse_mse = std::strtod(parts[1].c_str(), nullptr);
-          continue;
-        }
-        if (parts.size() != 4) continue;
-        Result<sim::DataCategory> cat = sim::CategoryFromKey(parts[0]);
-        if (!cat.ok()) continue;
-        CategoryImprovement ci;
-        ci.category = *cat;
-        ci.single_mse = std::strtod(parts[1].c_str(), nullptr);
-        ci.diverse_mse = std::strtod(parts[2].c_str(), nullptr);
-        ci.improvement_pct = std::strtod(parts[3].c_str(), nullptr);
-        cached.per_category.push_back(ci);
-      }
-      if (!cached.per_category.empty()) return cached;
-    }
+  if (std::optional<ImprovementResult> cached = DecodeImprovement(
+          ReadCacheLines(path), period, window, model)) {
+    return *std::move(cached);
   }
   FAB_ASSIGN_OR_RETURN(const ScenarioDataset* scenario,
                        Scenario(period, window));
@@ -336,13 +405,7 @@ Result<ImprovementResult> Experiments::Improvement(StudyPeriod period,
       ImprovementResult result,
       RunImprovementExperiment(*scenario, fvec.features, model, options));
   FAB_RETURN_IF_ERROR(EnsureCacheDir());
-  std::ofstream out(path);
-  out << std::setprecision(17);
-  out << "diverse_mse," << result.diverse_mse << '\n';
-  for (const auto& ci : result.per_category) {
-    out << sim::CategoryKey(ci.category) << ',' << ci.single_mse << ','
-        << ci.diverse_mse << ',' << ci.improvement_pct << '\n';
-  }
+  FAB_RETURN_IF_ERROR(util::WriteFileAtomic(path, EncodeImprovement(result)));
   return result;
 }
 

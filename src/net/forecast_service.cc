@@ -58,6 +58,7 @@ int HttpStatusFor(const Status& status) {
     case StatusCode::kOk: return 200;
     case StatusCode::kInvalidArgument: return 400;
     case StatusCode::kNotFound: return 404;
+    case StatusCode::kOutOfRange: return 413;
     case StatusCode::kUnavailable: return 429;
     case StatusCode::kFailedPrecondition: return 503;
     default: return 500;

@@ -12,8 +12,8 @@
 namespace fab::net {
 
 /// Maps a fab::Status to the HTTP status code the serving API uses:
-/// OK→200, InvalidArgument→400, NotFound→404, Unavailable→429,
-/// FailedPrecondition→503, anything else→500.
+/// OK→200, InvalidArgument→400, NotFound→404, OutOfRange→413,
+/// Unavailable→429, FailedPrecondition→503, anything else→500.
 int HttpStatusFor(const Status& status);
 
 /// The JSON forecast API over a ShardedRouter.
@@ -21,6 +21,8 @@ int HttpStatusFor(const Status& status);
 ///   POST /predict   {"period":"2017","window":7,"model":"rf",
 ///                    "rows":[[f0,f1,...],...]}
 ///                   → 200 {"forecasts":[...],"shard":N}
+///                   → 413 {"error":...} when it has more rows than a
+///                     shard queue holds
 ///                   → 429 {"error":...} + Retry-After when shedding
 ///   GET  /statusz   router shard statsz + full obs metrics export
 ///   GET  /healthz   200 {"status":"ok"}

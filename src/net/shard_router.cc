@@ -152,6 +152,14 @@ Status ShardedRouter::Submit(const serve::ModelKey& key,
       registry_->Get(key);
   if (!servable.ok()) return servable.status();
 
+  // A request larger than the whole queue can never be admitted, so it
+  // is refused outright rather than shed: a retry would fail the same way.
+  if (rows > options_.max_shard_queue) {
+    return Status::OutOfRange(
+        std::to_string(rows) + " rows exceed shard " + std::to_string(index) +
+        "'s queue bound of " + std::to_string(options_.max_shard_queue));
+  }
+
   const Admission verdict = Admit(shard, rows);
   if (verdict == Admission::kShedQueueFull) {
     if (admission != nullptr) *admission = verdict;

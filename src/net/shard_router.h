@@ -34,7 +34,8 @@ struct ShardedRouterOptions {
   size_t max_batch = 64;
   int coalesce_wait_us = 200;
   /// Hard per-shard queue bound in rows: a request whose rows would
-  /// cross it sheds whole (HTTP 429).
+  /// cross it sheds whole (HTTP 429); one with more rows than the bound
+  /// itself can never fit and is refused (HTTP 413).
   size_t max_shard_queue = 256;
   /// Admission SLO: when a shard's predicted queue wait exceeds this,
   /// new requests shed before latency collapses. 0 disables the check.
@@ -90,7 +91,8 @@ class ShardedRouter {
   /// exactly once, with one forecast per row, on admitted requests.
   /// `admission` (optional) reports the verdict; sheds return
   /// kUnavailable, unknown keys kNotFound, malformed blocks
-  /// kInvalidArgument.
+  /// kInvalidArgument, and a request of more rows than
+  /// `max_shard_queue` kOutOfRange (not counted as a shed).
   [[nodiscard]] Status Submit(const serve::ModelKey& key,
                               std::vector<double> block, size_t rows,
                               serve::BatchServer::Callback done,

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "ml/mlp.h"
 #include "ml/tree.h"
 #include "util/check.h"
+#include "util/file.h"
 
 namespace fab::serve {
 
@@ -420,20 +420,7 @@ Result<std::unique_ptr<ml::Regressor>> SnapshotCodec::Decode(
 Status SnapshotCodec::Save(const ml::Regressor& model,
                            const std::string& path) {
   FAB_ASSIGN_OR_RETURN(std::string bytes, Encode(model));
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot write snapshot: " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) return Status::IoError("short write: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IoError("cannot publish snapshot " + path + ": " +
-                           ec.message());
-  }
-  return Status::OK();
+  return util::WriteFileAtomic(path, bytes);
 }
 
 Result<std::unique_ptr<ml::Regressor>> SnapshotCodec::Load(

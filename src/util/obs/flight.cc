@@ -6,10 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "util/file.h"
 
 namespace fab::obs {
 
@@ -335,10 +336,7 @@ namespace {
 /// Disabled builds keep the dump contract alive with an empty, valid
 /// Chrome trace (mirrors WriteTrace in trace.cc).
 Status WriteEmptyTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot write flight dump file: " + path);
-  out << "{\"traceEvents\":[]}\n";
-  return Status::OK();
+  return util::WriteFileAtomic(path, "{\"traceEvents\":[]}\n");
 }
 
 }  // namespace

@@ -4,16 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "util/obs/trace_context.h"
+#include "util/file.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -365,17 +363,7 @@ std::string ExportPrometheus() {
 }
 
 Status WriteMetrics(const std::string& path) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot write metrics file: " + tmp);
-    out << ExportMetrics() << "\n";
-    if (!out.good()) return Status::IoError("metrics write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename metrics file into place: " + path);
-  }
-  return Status::OK();
+  return util::WriteFileAtomic(path, ExportMetrics() + "\n");
 }
 
 }  // namespace fab::obs

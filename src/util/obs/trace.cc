@@ -6,15 +6,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <sstream>
 #include <vector>
-
-#include <unistd.h>
 
 #include "util/obs/clock.h"
 #include "util/obs/flight.h"
 #include "util/obs/trace_context.h"
+#include "util/file.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -170,34 +169,25 @@ class Tracer {
       buffers.reserve(buffers_.size());
       for (const auto& buffer : buffers_) buffers.push_back(buffer.get());
     }
-    // Atomic publish: write a sibling temp file, then rename over the
-    // target. Concurrent exporters (parallel ctest under FAB_TRACE) each
-    // produce a complete file; the last rename wins.
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) return Status::IoError("cannot write trace file: " + tmp);
-      out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-      bool first = true;
-      for (const ThreadBuffer* buffer : buffers) {
-        buffer->ForEach([&](const TraceEvent& event) {
-          if (!first) out << ",";
-          first = false;
-          out << "\n{\"name\":" << JsonString(event.name) << ",\"ph\":\""
-              << event.phase << "\",\"ts\":"
-              << JsonNumber(static_cast<double>(event.ts_ns) / 1000.0)
-              << ",\"pid\":1,\"tid\":" << buffer->tid() << ",\"cat\":\"fab\"";
-          if (!event.args.empty()) out << ",\"args\":{" << event.args << "}";
-          out << "}";
-        });
-      }
-      out << "\n]}\n";
-      if (!out.good()) return Status::IoError("trace write failed: " + tmp);
+    // Atomic publish: concurrent exporters (parallel ctest under
+    // FAB_TRACE) each produce a complete file; the last rename wins.
+    std::ostringstream out;
+    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    bool first = true;
+    for (const ThreadBuffer* buffer : buffers) {
+      buffer->ForEach([&](const TraceEvent& event) {
+        if (!first) out << ",";
+        first = false;
+        out << "\n{\"name\":" << JsonString(event.name) << ",\"ph\":\""
+            << event.phase << "\",\"ts\":"
+            << JsonNumber(static_cast<double>(event.ts_ns) / 1000.0)
+            << ",\"pid\":1,\"tid\":" << buffer->tid() << ",\"cat\":\"fab\"";
+        if (!event.args.empty()) out << ",\"args\":{" << event.args << "}";
+        out << "}";
+      });
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::IoError("cannot rename trace file into place: " + path);
-    }
-    return Status::OK();
+    out << "\n]}\n";
+    return util::WriteFileAtomic(path, out.str());
   }
 
  private:
@@ -329,10 +319,7 @@ void TraceSpan::AddArg(const char* key, const TraceValue& value) {
 /// path (export + parse) works in every configuration: it produces an
 /// empty, valid Chrome trace.
 Status WriteTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot write trace file: " + path);
-  out << "{\"traceEvents\":[]}\n";
-  return Status::OK();
+  return util::WriteFileAtomic(path, "{\"traceEvents\":[]}\n");
 }
 
 #endif  // FAB_OBS_DISABLED

@@ -4,6 +4,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "serve/registry.h"
 
@@ -31,6 +34,19 @@ ExperimentConfig TinyConfig(const std::string& cache_dir) {
   config.serving_mlp.hidden = {8, 4};
   config.serving_mlp.epochs = 10;
   return config;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void WriteFile(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
 }
 
 class ExperimentsTest : public ::testing::Test {
@@ -150,6 +166,64 @@ TEST_F(ExperimentsTest, ImprovementCachedAcrossInstances) {
       EXPECT_NEAR(reloaded->per_category[i].improvement_pct,
                   first.per_category[i].improvement_pct, 1e-3);
     }
+  }
+}
+
+TEST_F(ExperimentsTest, DamagedCacheFileIsRecomputedNotReadInPart) {
+  const ExperimentConfig config = TinyConfig(cache_dir_);
+  Experiments first(config);
+  const auto fra = first.Fra(StudyPeriod::k2019, 30);
+  const auto fvec = first.FinalVector(StudyPeriod::k2019, 30);
+  const auto scored = first.ScoredVector(StudyPeriod::k2019, 30);
+  const auto imp =
+      first.Improvement(StudyPeriod::k2019, 30, ModelKind::kRandomForest);
+  ASSERT_TRUE(fra.ok() && fvec.ok() && scored.ok() && imp.ok());
+
+  // Cut the last line of each cache file before its first comma, as an
+  // interrupted write would leave it.
+  std::map<std::filesystem::path, std::string> intact;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(cache_dir_)) {
+    if (entry.path().extension() != ".csv") continue;
+    const std::string text = ReadFile(entry.path());
+    ASSERT_GE(text.size(), 2u);
+    const size_t last_line = text.rfind('\n', text.size() - 2) + 1;
+    WriteFile(entry.path(), text.substr(0, text.find(',', last_line)));
+    intact[entry.path()] = text;
+  }
+  ASSERT_EQ(intact.size(), 4u) << "fra, fvec, score and imp files";
+
+  // A fresh orchestrator must recompute every stage, not return the
+  // records before the damage.
+  Experiments fresh(config);
+  const auto fra2 = fresh.Fra(StudyPeriod::k2019, 30);
+  const auto fvec2 = fresh.FinalVector(StudyPeriod::k2019, 30);
+  const auto scored2 = fresh.ScoredVector(StudyPeriod::k2019, 30);
+  const auto imp2 =
+      fresh.Improvement(StudyPeriod::k2019, 30, ModelKind::kRandomForest);
+  ASSERT_TRUE(fra2.ok() && fvec2.ok() && scored2.ok() && imp2.ok());
+  EXPECT_EQ(fra2->selected, fra->selected);
+  EXPECT_EQ(fra2->selected_scores, fra->selected_scores);
+  EXPECT_EQ(fvec2->features, fvec->features);
+  EXPECT_EQ(fvec2->fra_ranked, fvec->fra_ranked);
+  EXPECT_EQ(fvec2->shap_ranked, fvec->shap_ranked);
+  EXPECT_EQ(fvec2->overlap_fra_shap_top100, fvec->overlap_fra_shap_top100);
+  EXPECT_EQ(scored2->features, scored->features);
+  EXPECT_EQ(scored2->importance, scored->importance);
+  EXPECT_EQ(imp2->diverse_mse, imp->diverse_mse);
+  ASSERT_EQ(imp2->per_category.size(), imp->per_category.size());
+  for (size_t i = 0; i < imp->per_category.size(); ++i) {
+    EXPECT_EQ(imp2->per_category[i].category, imp->per_category[i].category);
+    EXPECT_EQ(imp2->per_category[i].single_mse,
+              imp->per_category[i].single_mse);
+    EXPECT_EQ(imp2->per_category[i].diverse_mse,
+              imp->per_category[i].diverse_mse);
+    EXPECT_EQ(imp2->per_category[i].improvement_pct,
+              imp->per_category[i].improvement_pct);
+  }
+  // ...and overwrite each damaged file whole.
+  for (const auto& [path, text] : intact) {
+    EXPECT_EQ(ReadFile(path), text) << path;
   }
 }
 

@@ -104,6 +104,16 @@ class HttpServerTest : public ::testing::Test {
 
   /// `field` summed over the shards' BatchServers, read via /statusz.
   double ServerTotal(HttpClient& client, const std::string& field) {
+    return ShardTotal(client, field, /*in_server=*/true);
+  }
+
+  /// `field` summed over the router's per-shard admission counters.
+  double RouterTotal(HttpClient& client, const std::string& field) {
+    return ShardTotal(client, field, /*in_server=*/false);
+  }
+
+  double ShardTotal(HttpClient& client, const std::string& field,
+                    bool in_server) {
     Result<HttpResponse> response = client.Get("/statusz");
     EXPECT_TRUE(response.ok() && response->status_code == 200);
     if (!response.ok()) return -1.0;
@@ -113,7 +123,8 @@ class HttpServerTest : public ::testing::Test {
     double total = 0.0;
     for (const JsonValue& shard :
          body->Find("router")->Find("shards")->array()) {
-      total += *shard.Find("server")->GetNumber(field);
+      const JsonValue& counters = in_server ? *shard.Find("server") : shard;
+      total += *counters.GetNumber(field);
     }
     return total;
   }
@@ -226,6 +237,13 @@ TEST_F(HttpServerTest, ErrorMapping) {
   EXPECT_EQ((*client.Post("/predict", PredictBody(kFastKey, hostile)))
                 .status_code,
             400);
+  // More rows than the 256-row shard queue can ever hold -> 413.
+  std::string oversized = "[[1.0]";
+  for (int i = 1; i < 257; ++i) oversized += ",[1.0]";
+  oversized += "]";
+  EXPECT_EQ((*client.Post("/predict", PredictBody(kFastKey, oversized)))
+                .status_code,
+            413);
   // Unknown scenario key -> registry NotFound -> 404.
   serve::ModelKey unknown{"2031", 7, "rf"};
   Result<HttpResponse> missing =
@@ -356,21 +374,28 @@ TEST_F(HttpServerTest, SaturatedShardReturns429WithRetryAfter) {
   EXPECT_EQ(fast_ok, 10) << "the unsaturated shard must keep serving";
 }
 
-TEST_F(HttpServerTest, OversizedRequestIsRefusedWholeWith429) {
-  // 16 rows against an 8-row shard queue: the request is admitted whole
-  // or not at all, so it sheds and not one of its rows runs.
+TEST_F(HttpServerTest, OversizedRequestIsRefusedWholeWith413) {
+  // 16 rows against an 8-row shard queue can never be admitted whole, so
+  // the request is refused as too large (no Retry-After: retrying cannot
+  // help), it does not count as a shed, and not one of its rows runs.
   StartStack(EventLoop::DefaultBackend(), /*max_shard_queue=*/8);
   HttpClient client("127.0.0.1", server_->port());
   std::string rows = "[";
   for (int i = 0; i < 16; ++i) rows += i == 0 ? "[1.0]" : ",[1.0]";
   rows += "]";
+  // The shed counters live in the process-wide obs registry, so earlier
+  // tests' sheds are already in them.
+  const double shed_full = RouterTotal(client, "shed_queue_full");
+  const double shed_slo = RouterTotal(client, "shed_slo");
   Result<HttpResponse> response =
       client.Post("/predict", PredictBody(kSlowKey, rows));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 429);
-  EXPECT_NE(response->Header("Retry-After"), nullptr);
+  EXPECT_EQ(response->status_code, 413);
+  EXPECT_EQ(response->Header("Retry-After"), nullptr);
   EXPECT_EQ(ServerTotal(client, "requests_completed"), 0.0);
   EXPECT_EQ(ServerTotal(client, "batches_run"), 0.0);
+  EXPECT_EQ(RouterTotal(client, "shed_queue_full"), shed_full);
+  EXPECT_EQ(RouterTotal(client, "shed_slo"), shed_slo);
 
   // An 8-row request fits and is served.
   rows = "[[1.0],[1.0],[1.0],[1.0],[1.0],[1.0],[1.0],[1.0]]";
